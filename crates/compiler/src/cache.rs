@@ -179,10 +179,7 @@ impl CompileCache {
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(e) = inner.map.get_mut(&key) {
-                // Artifact identity ignores host-tuning fields
-                // (parallel_threshold) — see
-                // ProcessorConfig::artifact_compatible.
-                if e.material == *material && e.config.artifact_compatible(config) {
+                if e.material == *material && e.config == *config {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.emit(TraceEvent::CompileCacheHit {
@@ -698,30 +695,6 @@ mod tests {
         assert!(hit3);
         assert!(Arc::ptr_eq(d1.program(), &p));
         assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 1));
-    }
-
-    #[test]
-    fn parallel_threshold_does_not_split_the_cache() {
-        // The fan-out threshold is a host-tuning knob: it changes
-        // neither the compiled artifact nor the decode, so sweeping it
-        // (as `tables --sim` does) must not force recompiles.
-        let cache = CompileCache::new();
-        let k = kernel(3);
-        let base = ProcessorConfig::small();
-        let (d1, hit1) = cache
-            .get_or_compile_decoded(&k, &base, OptLevel::Full)
-            .unwrap();
-        assert!(!hit1);
-        for threshold in [0usize, 64, 1024, usize::MAX] {
-            let cfg = base.clone().with_parallel_threshold(threshold);
-            let (d, hit) = cache
-                .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
-                .unwrap();
-            assert!(hit, "threshold {threshold} must share the artifact");
-            assert!(Arc::ptr_eq(&d, &d1));
-        }
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]

@@ -119,8 +119,8 @@ impl RegisterFile {
     }
 
     /// Split borrow of the raw register and predicate arrays for the
-    /// simulator's lane-parallel execution (`data` is `[thread][reg]`
-    /// row-major; `preds` one nibble-in-a-byte per thread).
+    /// simulator's lane loops (`data` is `[thread][reg]` row-major;
+    /// `preds` one nibble-in-a-byte per thread).
     pub(crate) fn split_mut(&mut self) -> (&mut [u32], &mut [u8], usize) {
         (&mut self.data, &mut self.preds, self.regs_per_thread)
     }

@@ -186,13 +186,13 @@ impl SharedMemory {
     }
 
     /// Direct slice view (diagnostics, host verification, and the
-    /// simulator's lane-parallel load path).
+    /// simulator's `lds` lane loops).
     pub fn as_slice(&self) -> &[u32] {
         &self.data
     }
 
     /// Account `n` word reads performed through [`SharedMemory::as_slice`]
-    /// (the simulator's parallel load path bypasses [`SharedMemory::read`]).
+    /// (the simulator's `lds` lane loops bypass [`SharedMemory::read`]).
     pub(crate) fn bump_reads(&mut self, n: u64) {
         self.stats.reads += n;
     }

@@ -3,8 +3,7 @@
 //!
 //! * **Functional** — computes results per thread row and accounts clocks
 //!   with the closed-form counter arithmetic of
-//!   [`InstructionTiming`];
-//!   optionally lane-parallel via rayon for large thread counts.
+//!   [`InstructionTiming`].
 //! * **CycleAccurate** — additionally steps the
 //!   [`PipelineControl`] counter
 //!   hardware clock by clock for every instruction and cross-checks it
@@ -36,7 +35,6 @@ use crate::regfile::RegisterFile;
 use crate::sequencer::{InstructionTiming, PipelineControl, FETCH_PIPELINE_DEPTH};
 use crate::shared::SharedMemory;
 use crate::stats::ExecStats;
-use rayon::prelude::*;
 use simt_datapath::{logic::LogicOp, ShiftKind, Signedness};
 use simt_isa::{CycleClass, Guard, Instruction, Opcode, Program};
 use std::sync::Arc;
@@ -58,11 +56,6 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Execute thread lanes in parallel with rayon when the active
-    /// thread count reaches
-    /// [`ProcessorConfig::parallel_threshold`] (results are
-    /// bit-identical; stores stay in thread order).
-    pub parallel: bool,
 }
 
 impl Default for RunOptions {
@@ -70,7 +63,6 @@ impl Default for RunOptions {
         RunOptions {
             max_cycles: 200_000_000,
             mode: ExecMode::Functional,
-            parallel: false,
         }
     }
 }
@@ -80,18 +72,6 @@ impl RunOptions {
     pub fn cycle_accurate() -> Self {
         RunOptions {
             mode: ExecMode::CycleAccurate,
-            ..Default::default()
-        }
-    }
-
-    /// Lane-parallel functional run. Fan-out additionally requires the
-    /// active thread count to reach
-    /// [`ProcessorConfig::parallel_threshold`], whose default disables
-    /// it (measured: the vendored sequential rayon shim never wins —
-    /// see `BENCH_sim.json`).
-    pub fn parallel() -> Self {
-        RunOptions {
-            parallel: true,
             ..Default::default()
         }
     }
@@ -145,9 +125,6 @@ pub struct Processor {
     datapath: Datapath,
     /// The loaded program, predecoded (kept across [`Processor::reset`]).
     decoded: Option<Arc<DecodedProgram>>,
-    /// Reusable `sts` gather buffer: `(addr, value)` per passing lane,
-    /// in thread order — no per-store heap allocation in the run loop.
-    sts_scratch: Vec<Option<(usize, u32)>>,
 }
 
 impl Processor {
@@ -159,7 +136,6 @@ impl Processor {
             shared: SharedMemory::new(config.shared_words),
             datapath: Datapath::new(),
             decoded: None,
-            sts_scratch: Vec::new(),
             config,
         })
     }
@@ -214,12 +190,9 @@ impl Processor {
     /// Load an already-decoded program (validated against this build),
     /// sharing the decode instead of re-deriving it — the path the
     /// runtime's compile cache and multi-core systems use. The decode's
-    /// configuration must be
-    /// [artifact-compatible](ProcessorConfig::artifact_compatible) with
-    /// this processor's (the fan-out threshold may differ — this
-    /// processor's own setting governs the run).
+    /// configuration must equal this processor's.
     pub fn load_decoded(&mut self, decoded: Arc<DecodedProgram>) -> Result<(), LoadError> {
-        if !decoded.config().artifact_compatible(&self.config) {
+        if *decoded.config() != self.config {
             return Err(LoadError::ConfigMismatch);
         }
         validate_program(decoded.program(), &self.config)?;
@@ -384,7 +357,6 @@ impl Processor {
         profile: &mut Option<PcProfile>,
     ) -> Result<ExecStats, ExecError> {
         let uops = decoded.uops();
-        let threshold = self.config.parallel_threshold;
         self.shared.reset_stats();
         let mut stats = ExecStats {
             cycles: FETCH_PIPELINE_DEPTH,
@@ -500,10 +472,7 @@ impl Processor {
                     return Ok(stats);
                 }
                 Opcode::Nop | Opcode::Bar => {}
-                _ => {
-                    let parallel = opts.parallel && active >= threshold;
-                    self.exec_uop(&u, pc, active, parallel)?;
-                }
+                _ => self.exec_uop(&u, pc, active)?,
             }
 
             if TRACED {
@@ -575,19 +544,12 @@ impl Processor {
     /// specialized lane loop per opcode with the guard test and operand
     /// indices pre-resolved — no per-lane field extraction or opcode
     /// dispatch.
-    fn exec_uop(
-        &mut self,
-        u: &Uop,
-        pc: usize,
-        active: usize,
-        parallel: bool,
-    ) -> Result<(), ExecError> {
+    fn exec_uop(&mut self, u: &Uop, pc: usize, active: usize) -> Result<(), ExecError> {
         let Processor {
             config,
             regfile,
             shared,
             datapath: dp,
-            sts_scratch,
             ..
         } = self;
         let ntid = config.threads as u32;
@@ -620,20 +582,7 @@ impl Processor {
                         }),
                     }
                 };
-                if parallel {
-                    reads += active_regs
-                        .par_chunks_mut(rpt)
-                        .zip(active_preds.par_iter())
-                        .enumerate()
-                        .map(|(tid, (w, p))| {
-                            if u.guard_passes(*p) {
-                                body(tid, w).map(|()| 1)
-                            } else {
-                                Ok(0)
-                            }
-                        })
-                        .try_reduce(|| 0, |x, y| Ok(x + y))?;
-                } else if u.guard_and == 0 {
+                if u.guard_and == 0 {
                     // Unguarded: every active lane reads exactly once.
                     for (tid, w) in active_regs.chunks_exact_mut(rpt).enumerate() {
                         body(tid, w)?;
@@ -658,186 +607,164 @@ impl Processor {
                 shared.account_write_rows(u.lanes as usize, u.depth as usize);
                 // Stores stream through the single write port in thread
                 // order; on address conflicts the highest thread id wins.
-                // Gather (addr, value) pairs into the processor's
-                // reusable scratch buffer (parallel-safe), then apply in
-                // order.
-                let active_regs = &regs[..active * rpt];
-                let active_preds = &preds[..active];
-                let gather = |(w, p): (&[u32], &u8)| -> Option<(usize, u32)> {
-                    if !u.guard_passes(*p) {
-                        return None;
-                    }
-                    Some((w[ra].wrapping_add(imm) as usize, w[rb]))
-                };
-                if parallel {
-                    active_regs
-                        .par_chunks(rpt)
-                        .zip(active_preds.par_iter())
-                        .map(gather)
-                        .collect_into_vec(sts_scratch);
-                } else {
-                    sts_scratch.clear();
-                    sts_scratch.extend(
-                        active_regs
-                            .chunks_exact(rpt)
-                            .zip(active_preds.iter())
-                            .map(gather),
-                    );
-                }
-                for (tid, pair) in sts_scratch.drain(..).enumerate() {
-                    if let Some((addr, value)) = pair {
-                        shared.write(pc, tid, addr, value)?;
+                for (tid, (w, p)) in regs[..active * rpt]
+                    .chunks_exact(rpt)
+                    .zip(&preds[..active])
+                    .enumerate()
+                {
+                    if u.guard_passes(*p) {
+                        shared.write(pc, tid, w[ra].wrapping_add(imm) as usize, w[rb])?;
                     }
                 }
                 Ok(())
             }
 
             // ---- compares (predicate writers) -----------------------
-            Opcode::SetpEq => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpEq => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpEq, a, b)
             }),
-            Opcode::SetpNe => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpNe => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpNe, a, b)
             }),
-            Opcode::SetpLt => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpLt => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpLt, a, b)
             }),
-            Opcode::SetpLe => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpLe => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpLe, a, b)
             }),
-            Opcode::SetpGt => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpGt => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpGt, a, b)
             }),
-            Opcode::SetpGe => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpGe => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpGe, a, b)
             }),
-            Opcode::SetpLtu => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpLtu => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpLtu, a, b)
             }),
-            Opcode::SetpGeu => setp_lanes(regs, preds, rpt, active, parallel, u, |a, b| {
+            Opcode::SetpGeu => setp_lanes(regs, preds, rpt, active, u, |a, b| {
                 dp.eval_setp(Opcode::SetpGeu, a, b)
             }),
 
             // ---- integer arithmetic (adder datapath) ----------------
-            Opcode::Add => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Add => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.add(w[ra], w[rb])
             }),
-            Opcode::Sub => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Sub => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.sub(w[ra], w[rb])
             }),
-            Opcode::Min => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Min => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.min_s(w[ra], w[rb])
             }),
-            Opcode::Max => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Max => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.max_s(w[ra], w[rb])
             }),
-            Opcode::Abs => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Abs => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.abs(w[ra])
             }),
-            Opcode::Neg => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Neg => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.neg(w[ra])
             }),
-            Opcode::Sad => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Sad => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.sad(w[ra], w[rb], w[rc])
             }),
-            Opcode::Addi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Addi => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.add(w[ra], imm)
             }),
-            Opcode::Subi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Subi => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.sub(w[ra], imm)
             }),
 
             // ---- multiplier datapath --------------------------------
-            Opcode::MulLo => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::MulLo => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.mult.mul_lo(w[ra], w[rb], Signedness::Signed)
             }),
-            Opcode::MulHi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::MulHi => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.mult.mul_hi(w[ra], w[rb], Signedness::Signed)
             }),
-            Opcode::MuluHi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::MuluHi => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.mult.mul_hi(w[ra], w[rb], Signedness::Unsigned)
             }),
-            Opcode::MadLo => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::MadLo => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp
                     .adder
                     .add(dp.mult.mul_lo(w[ra], w[rb], Signedness::Signed), w[rc])
             }),
-            Opcode::MadHi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::MadHi => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp
                     .adder
                     .add(dp.mult.mul_hi(w[ra], w[rb], Signedness::Signed), w[rc])
             }),
-            Opcode::Muli => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Muli => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.mult.mul_lo(w[ra], imm, Signedness::Signed)
             }),
 
             // ---- bitwise logic (soft-logic ALU) ---------------------
-            Opcode::And => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::And => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::And, w[ra], w[rb])
             }),
-            Opcode::Or => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Or => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Or, w[ra], w[rb])
             }),
-            Opcode::Xor => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Xor => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Xor, w[ra], w[rb])
             }),
-            Opcode::Not => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Not => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Not, w[ra], 0)
             }),
-            Opcode::Cnot => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Cnot => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Cnot, w[ra], 0)
             }),
-            Opcode::Andi => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Andi => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::And, w[ra], imm)
             }),
-            Opcode::Ori => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Ori => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Or, w[ra], imm)
             }),
-            Opcode::Xori => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Xori => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Xor, w[ra], imm)
             }),
-            Opcode::Popc => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Popc => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Popc, w[ra], 0)
             }),
-            Opcode::Clz => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Clz => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Clz, w[ra], 0)
             }),
-            Opcode::Brev => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Brev => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.logic.eval(LogicOp::Brev, w[ra], 0)
             }),
 
             // ---- shifts (multiplicative shifter) --------------------
-            Opcode::Shl => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Shl => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.shift(ShiftKind::Lsl, w[ra], w[rb])
             }),
-            Opcode::Lsr => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Lsr => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.shift(ShiftKind::Lsr, w[ra], w[rb])
             }),
-            Opcode::Asr => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Asr => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.shift(ShiftKind::Asr, w[ra], w[rb])
             }),
-            Opcode::Shli => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Shli => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.shift(ShiftKind::Lsl, w[ra], imm)
             }),
-            Opcode::Lsri => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Lsri => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.shift(ShiftKind::Lsr, w[ra], imm)
             }),
-            Opcode::Asri => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Asri => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.shift(ShiftKind::Asr, w[ra], imm)
             }),
 
             // ---- fixed-point / address helpers ----------------------
-            Opcode::SatAdd => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::SatAdd => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.sat_add(w[ra], w[rb])
             }),
-            Opcode::SatSub => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::SatSub => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.adder.sat_sub(w[ra], w[rb])
             }),
             Opcode::MulShr => {
                 // Fixed-point scaling: full 64-bit signed product,
                 // arithmetic shift right by imm (0..=63), low 32 bits.
                 let sh = imm & 63;
-                lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+                lanes(regs, preds, rpt, active, u, |_, w| {
                     let full = dp.mult.mul_full(w[ra], w[rb], Signedness::Signed) as i64;
                     w[rd] = (full >> sh) as u32;
                 })
@@ -845,7 +772,7 @@ impl Processor {
             Opcode::ShAdd => {
                 // Address generation: (a << imm) + b.
                 let sh = imm & 31;
-                lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+                lanes(regs, preds, rpt, active, u, |_, w| {
                     w[rd] = dp
                         .adder
                         .add(dp.shifter.shift(ShiftKind::Lsl, w[ra], sh), w[rb])
@@ -854,7 +781,7 @@ impl Processor {
             Opcode::Bfe => {
                 let pos = imm & 0x1F;
                 let len = (imm >> 5) & 0x3F;
-                lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+                lanes(regs, preds, rpt, active, u, |_, w| {
                     let shifted = dp.shifter.shift(ShiftKind::Lsr, w[ra], pos);
                     w[rd] = if len >= 32 {
                         shifted
@@ -863,23 +790,21 @@ impl Processor {
                     };
                 })
             }
-            Opcode::Rotri => lanes(regs, preds, rpt, active, parallel, u, |_, w| {
+            Opcode::Rotri => lanes(regs, preds, rpt, active, u, |_, w| {
                 w[rd] = dp.shifter.rotate_right(w[ra], imm)
             }),
 
             // ---- predicated select and data movement ----------------
             Opcode::Selp => {
                 let bit = u.pred_bit;
-                lanes_pred_src(regs, preds, rpt, active, parallel, u, |w, p| {
+                lanes_pred_src(regs, preds, rpt, active, u, |w, p| {
                     w[rd] = if p & bit != 0 { w[ra] } else { w[rb] }
                 })
             }
-            Opcode::Mov => lanes(regs, preds, rpt, active, parallel, u, |_, w| w[rd] = w[ra]),
-            Opcode::Movi => lanes(regs, preds, rpt, active, parallel, u, |_, w| w[rd] = imm),
-            Opcode::Stid => lanes(regs, preds, rpt, active, parallel, u, |tid, w| {
-                w[rd] = tid as u32
-            }),
-            Opcode::Sntid => lanes(regs, preds, rpt, active, parallel, u, |_, w| w[rd] = ntid),
+            Opcode::Mov => lanes(regs, preds, rpt, active, u, |_, w| w[rd] = w[ra]),
+            Opcode::Movi => lanes(regs, preds, rpt, active, u, |_, w| w[rd] = imm),
+            Opcode::Stid => lanes(regs, preds, rpt, active, u, |tid, w| w[rd] = tid as u32),
+            Opcode::Sntid => lanes(regs, preds, rpt, active, u, |_, w| w[rd] = ntid),
 
             // Control flow is handled by the run loop.
             Opcode::Bra
@@ -1022,7 +947,7 @@ impl Processor {
                 }
                 Opcode::Nop | Opcode::Bar => {}
                 _ => {
-                    self.exec_data_instruction(&instr, pc, active, &opts)?;
+                    self.exec_data_instruction(&instr, pc, active)?;
                 }
             }
 
@@ -1087,18 +1012,15 @@ impl Processor {
         instr: &Instruction,
         pc: usize,
         active: usize,
-        opts: &RunOptions,
     ) -> Result<(), ExecError> {
         let Processor {
             config,
             regfile,
             shared,
             datapath,
-            sts_scratch,
             ..
         } = self;
         let ntid = config.threads as u32;
-        let parallel = opts.parallel && active >= config.parallel_threshold;
         let (regs, preds, rpt) = regfile.split_mut();
         let preds: &mut [u8] = preds;
 
@@ -1129,23 +1051,13 @@ impl Processor {
                         }),
                     }
                 };
-                if parallel {
-                    reads += regs
-                        .par_chunks_mut(rpt)
-                        .zip(preds.par_iter())
-                        .take(active)
-                        .enumerate()
-                        .map(|(tid, (window, pred))| body(tid, window, pred))
-                        .try_reduce(|| 0, |x, y| Ok(x + y))?;
-                } else {
-                    for (tid, (window, pred)) in regs
-                        .chunks_mut(rpt)
-                        .zip(preds.iter())
-                        .take(active)
-                        .enumerate()
-                    {
-                        reads += body(tid, window, pred)?;
-                    }
+                for (tid, (window, pred)) in regs
+                    .chunks_mut(rpt)
+                    .zip(preds.iter())
+                    .take(active)
+                    .enumerate()
+                {
+                    reads += body(tid, window, pred)?;
                 }
                 shared.bump_reads(reads);
                 Ok(())
@@ -1157,28 +1069,12 @@ impl Processor {
                 }
                 // Stores stream through the single write port in thread
                 // order; on address conflicts the highest thread id wins.
-                // Compute (addr, value) pairs first (parallel-safe, into
-                // the reusable scratch buffer), then apply in order.
-                let gather = |(window, pred): (&[u32], &u8)| -> Option<(usize, u32)> {
-                    if !guard_pass(*pred, instr.guard) {
-                        return None;
-                    }
-                    let addr = window[instr.ra.index()].wrapping_add(instr.imm16()) as usize;
-                    Some((addr, window[instr.rb.index()]))
-                };
-                if parallel {
-                    regs.par_chunks(rpt)
-                        .zip(preds.par_iter())
-                        .take(active)
-                        .map(gather)
-                        .collect_into_vec(sts_scratch);
-                } else {
-                    sts_scratch.clear();
-                    sts_scratch.extend(regs.chunks(rpt).zip(preds.iter()).take(active).map(gather));
-                }
-                for (tid, pair) in sts_scratch.drain(..).enumerate() {
-                    if let Some((addr, value)) = pair {
-                        shared.write(pc, tid, addr, value)?;
+                for (tid, (window, pred)) in
+                    regs.chunks(rpt).zip(preds.iter()).take(active).enumerate()
+                {
+                    if guard_pass(*pred, instr.guard) {
+                        let addr = window[instr.ra.index()].wrapping_add(instr.imm16()) as usize;
+                        shared.write(pc, tid, addr, window[instr.rb.index()])?;
                     }
                 }
                 Ok(())
@@ -1206,15 +1102,8 @@ impl Processor {
                         *pred &= !bit;
                     }
                 };
-                if parallel {
-                    regs.par_chunks(rpt)
-                        .zip(preds.par_iter_mut())
-                        .take(active)
-                        .for_each(|(w, p)| body(w, p));
-                } else {
-                    for (w, p) in regs.chunks(rpt).zip(preds.iter_mut()).take(active) {
-                        body(w, p);
-                    }
+                for (w, p) in regs.chunks(rpt).zip(preds.iter_mut()).take(active) {
+                    body(w, p);
                 }
                 Ok(())
             }
@@ -1251,21 +1140,13 @@ impl Processor {
                         window[instr.rd.index()] = v;
                     }
                 };
-                if parallel {
-                    regs.par_chunks_mut(rpt)
-                        .zip(preds.par_iter())
-                        .take(active)
-                        .enumerate()
-                        .for_each(|(tid, (w, p))| body(tid, w, p));
-                } else {
-                    for (tid, (w, p)) in regs
-                        .chunks_mut(rpt)
-                        .zip(preds.iter())
-                        .take(active)
-                        .enumerate()
-                    {
-                        body(tid, w, p);
-                    }
+                for (tid, (w, p)) in regs
+                    .chunks_mut(rpt)
+                    .zip(preds.iter())
+                    .take(active)
+                    .enumerate()
+                {
+                    body(tid, w, p);
                 }
                 Ok(())
             }
@@ -1284,7 +1165,6 @@ fn lanes<F>(
     preds: &[u8],
     rpt: usize,
     active: usize,
-    parallel: bool,
     u: &Uop,
     f: F,
 ) -> Result<(), ExecError>
@@ -1293,16 +1173,7 @@ where
 {
     let regs = &mut regs[..active * rpt];
     let preds = &preds[..active];
-    if parallel {
-        regs.par_chunks_mut(rpt)
-            .zip(preds.par_iter())
-            .enumerate()
-            .for_each(|(tid, (w, p))| {
-                if u.guard_passes(*p) {
-                    f(tid, w);
-                }
-            });
-    } else if u.guard_and == 0 {
+    if u.guard_and == 0 {
         // Unguarded common case: no per-lane branch, so the lane body
         // can vectorize across the register file.
         for (tid, w) in regs.chunks_exact_mut(rpt).enumerate() {
@@ -1326,7 +1197,6 @@ fn lanes_pred_src<F>(
     preds: &[u8],
     rpt: usize,
     active: usize,
-    parallel: bool,
     u: &Uop,
     f: F,
 ) -> Result<(), ExecError>
@@ -1335,19 +1205,9 @@ where
 {
     let regs = &mut regs[..active * rpt];
     let preds = &preds[..active];
-    if parallel {
-        regs.par_chunks_mut(rpt)
-            .zip(preds.par_iter())
-            .for_each(|(w, p)| {
-                if u.guard_passes(*p) {
-                    f(w, *p);
-                }
-            });
-    } else {
-        for (w, p) in regs.chunks_exact_mut(rpt).zip(preds.iter()) {
-            if u.guard_passes(*p) {
-                f(w, *p);
-            }
+    for (w, p) in regs.chunks_exact_mut(rpt).zip(preds.iter()) {
+        if u.guard_passes(*p) {
+            f(w, *p);
         }
     }
     Ok(())
@@ -1362,7 +1222,6 @@ fn setp_lanes<F>(
     preds: &mut [u8],
     rpt: usize,
     active: usize,
-    parallel: bool,
     u: &Uop,
     f: F,
 ) -> Result<(), ExecError>
@@ -1372,23 +1231,14 @@ where
     let (ra, rb, bit) = (u.ra as usize, u.rb as usize, u.pred_bit);
     let regs = &regs[..active * rpt];
     let preds = &mut preds[..active];
-    let body = |(w, p): (&[u32], &mut u8)| {
+    for (w, p) in regs.chunks_exact(rpt).zip(preds.iter_mut()) {
         if !u.guard_passes(*p) {
-            return;
+            continue;
         }
         if f(w[ra], w[rb]) {
             *p |= bit;
         } else {
             *p &= !bit;
-        }
-    };
-    if parallel {
-        regs.par_chunks(rpt)
-            .zip(preds.par_iter_mut())
-            .for_each(body);
-    } else {
-        for x in regs.chunks_exact(rpt).zip(preds.iter_mut()) {
-            body(x);
         }
     }
     Ok(())

@@ -253,42 +253,6 @@ fn functional_and_cycle_accurate_agree() {
 }
 
 #[test]
-fn parallel_and_serial_agree() {
-    let src = "  stid r1
-           muli r2, r1, 13
-           xori r2, r2, 0x5A5A
-           lds r3, [r1+0]
-           sad r4, r2, r3, r1
-           sts [r1+0], r4
-           exit";
-    let mut outs = Vec::new();
-    for parallel in [false, true] {
-        let mut cpu = Processor::new(
-            ProcessorConfig::default()
-                .with_threads(1024)
-                .with_shared_words(4096),
-        )
-        .unwrap();
-        cpu.shared_mut()
-            .load_words(
-                0,
-                &(0u32..1024).map(|i| i.wrapping_mul(7)).collect::<Vec<_>>(),
-            )
-            .unwrap();
-        let p = assemble(src).unwrap();
-        cpu.load_program(&p).unwrap();
-        let opts = RunOptions {
-            parallel,
-            ..Default::default()
-        };
-        let stats = cpu.run(opts).unwrap();
-        outs.push((stats, cpu.shared().as_slice().to_vec()));
-    }
-    assert_eq!(outs[0].0, outs[1].0);
-    assert_eq!(outs[0].1, outs[1].1);
-}
-
-#[test]
 fn store_conflicts_resolve_in_thread_order() {
     let mut cpu = small_cpu();
     // All threads store their tid to address 0: the 16:1 write mux
@@ -508,19 +472,4 @@ fn reference_interpreter_matches_fast_path_end_to_end() {
     let sr = reference.run_reference(RunOptions::default()).unwrap();
     assert_eq!(sf, sr);
     assert_eq!(fast.shared().as_slice(), reference.shared().as_slice());
-}
-
-#[test]
-fn load_decoded_accepts_a_threshold_only_difference() {
-    // parallel_threshold is host tuning: it does not change the decode,
-    // so sharing across it must work (the compile cache relies on it).
-    let mut a = small_cpu();
-    let p = assemble("  stid r1\n  exit").unwrap();
-    a.load_program(&p).unwrap();
-    let decoded = a.decoded().cloned().unwrap();
-
-    let mut b = Processor::new(ProcessorConfig::small().with_parallel_threshold(0)).unwrap();
-    b.load_decoded(decoded).unwrap();
-    b.run(RunOptions::default()).unwrap();
-    assert_eq!(b.regfile().read(5, 1), 5);
 }

@@ -1,7 +1,6 @@
 //! Property tests over random programs: the functional and
-//! cycle-accurate modes are observationally identical, lane-parallel
-//! execution is bit-identical to serial, and the clock roll-up always
-//! matches the §3.1 counter formulas.
+//! cycle-accurate modes are observationally identical, and the clock
+//! roll-up always matches the §3.1 counter formulas.
 
 use proptest::prelude::*;
 use simt_core::{InstructionTiming, Processor, ProcessorConfig, RunOptions};
@@ -99,10 +98,7 @@ fn run_with(
     let cfg = ProcessorConfig::default()
         .with_threads(threads)
         .with_regs_per_thread(REGS as usize)
-        .with_shared_words(MEM_WORDS)
-        // Keep the lane-parallel path under test (the default threshold
-        // disables fan-out — see ProcessorConfig::parallel_threshold).
-        .with_parallel_threshold(256);
+        .with_shared_words(MEM_WORDS);
     let mut cpu = Processor::new(cfg).unwrap();
     let seed_mem: Vec<u32> = (0..MEM_WORDS as u32)
         .map(|i| i.wrapping_mul(2654435761))
@@ -143,15 +139,6 @@ proptest! {
         prop_assert_eq!(log.flush_cycles(), stats.branch_flush_cycles);
         prop_assert_eq!(log.issued, stats.instructions);
         prop_assert_eq!(log.loop_backedges, stats.loop_backedges);
-    }
-
-    #[test]
-    fn parallel_agrees_with_serial(program in arb_program(512)) {
-        let a = run_with(&program, 512, RunOptions::default());
-        let b = run_with(&program, 512, RunOptions::parallel());
-        prop_assert_eq!(&a.0, &b.0);
-        prop_assert_eq!(&a.1, &b.1);
-        prop_assert_eq!(&a.2, &b.2);
     }
 
     #[test]

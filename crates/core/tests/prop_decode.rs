@@ -4,15 +4,15 @@
 //! files, predicates, shared memory, traces and [`ExecStats`] — over
 //! random programs covering the full value-opcode surface, guards,
 //! dynamic thread scaling, zero-overhead loops (nested, zero-trip and
-//! empty-body) and forward branches, in both execution modes and on
-//! both the serial and lane-parallel paths.
+//! empty-body) and forward branches, in both execution modes and at
+//! both narrow and wide thread counts.
 //!
 //! The program generators live in `tests/common` and are shared with
 //! the profiler determinism suite (`prop_profile.rs`).
 
 mod common;
 
-use common::{arb_program, config, seed_memory, MAX_THREADS, PAR_THREADS, REGS};
+use common::{arb_program, config, seed_memory, MAX_THREADS, REGS, WIDE_THREADS};
 use proptest::prelude::*;
 use simt_core::{ExecStats, Processor, RunOptions, TraceEntry};
 use simt_isa::Program;
@@ -74,13 +74,12 @@ proptest! {
         prop_assert_eq!(fast, reference);
     }
 
-    /// The lane-parallel predecoded path agrees with the serial
-    /// reference path (512 threads, above the default fan-out
-    /// threshold — store ordering and predicate updates must match).
+    /// Same at 512 threads: 32-row thread blocks, where store ordering
+    /// and predicate updates span many rows.
     #[test]
-    fn parallel_predecoded_matches_serial_reference(program in arb_program()) {
-        let fast = run_observed(&program, PAR_THREADS, RunOptions::parallel(), false);
-        let reference = run_observed(&program, PAR_THREADS, RunOptions::default(), true);
+    fn predecoded_matches_reference_wide(program in arb_program()) {
+        let fast = run_observed(&program, WIDE_THREADS, RunOptions::default(), false);
+        let reference = run_observed(&program, WIDE_THREADS, RunOptions::default(), true);
         prop_assert_eq!(fast, reference);
     }
 
@@ -123,34 +122,6 @@ fn control_flow_matches_reference() {
             let fast = run_observed(&program, threads, opts, false);
             let reference = run_observed(&program, threads, opts, true);
             assert_eq!(fast, reference, "threads={threads} opts={opts:?}");
-        }
-    }
-}
-
-/// The run loop honours a configurable parallel threshold: 0 engages
-/// the fan-out path on every data instruction, `usize::MAX` never does
-/// — results are bit-identical across the sweep.
-#[test]
-fn parallel_threshold_is_configurable_and_bit_exact() {
-    let program = simt_isa::assemble(
-        "  stid r0\n  muli r2, r0, 3\n  sts [r0+0], r2\n  lds r3, [r0+0]\n  exit",
-    )
-    .unwrap();
-    let mut base: Option<Observed> = None;
-    for threshold in [0usize, 64, 256, usize::MAX] {
-        let mut cpu = Processor::new(config(64).with_parallel_threshold(threshold)).unwrap();
-        cpu.load_program(&program).unwrap();
-        let (stats, trace) = cpu.run_traced(RunOptions::parallel()).unwrap();
-        let got = Observed {
-            stats,
-            trace,
-            regs: (0..REGS).map(|r| cpu.regfile().gather(r)).collect(),
-            preds: vec![],
-            shared: cpu.shared().as_slice().to_vec(),
-        };
-        match &base {
-            None => base = Some(got),
-            Some(b) => assert_eq!(&got, b, "threshold {threshold}"),
         }
     }
 }

@@ -8,12 +8,11 @@
 //!   plus the per-PC charges reproduce `ExecStats` exactly, and issue /
 //!   thread-op totals match the instruction counters;
 //! * same program + same seed ⇒ **identical profiles**, across repeat
-//!   runs, across execution modes, and across the serial and
-//!   lane-parallel paths.
+//!   runs and across execution modes.
 
 mod common;
 
-use common::{arb_program, config, seed_memory, MAX_THREADS, PAR_THREADS};
+use common::{arb_program, config, seed_memory, MAX_THREADS};
 use proptest::prelude::*;
 use simt_core::{ExecStats, PcProfile, Processor, RunOptions};
 use simt_isa::Program;
@@ -79,15 +78,6 @@ proptest! {
         prop_assert_eq!(&a, &b);
         let ca = run_profiled(&program, threads, RunOptions::cycle_accurate());
         prop_assert_eq!(&a, &ca);
-    }
-
-    /// The lane-parallel fan-out path produces the same profile as the
-    /// serial path (512 threads, above the fan-out threshold).
-    #[test]
-    fn parallel_profile_matches_serial(program in arb_program()) {
-        let serial = run_profiled(&program, PAR_THREADS, RunOptions::default());
-        let parallel = run_profiled(&program, PAR_THREADS, RunOptions::parallel());
-        prop_assert_eq!(serial, parallel);
     }
 }
 

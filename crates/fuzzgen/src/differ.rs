@@ -5,15 +5,14 @@
 //! ## The path-pair matrix
 //!
 //! Per optimization level (`O0`, `O2`), the two-stage program runs
-//! through four interpreter paths, chained stage to stage exactly the
+//! through three interpreter paths, chained stage to stage exactly the
 //! way the runtime chains launches (full shared memory carries over):
 //!
-//! | path | interpreter | mode | lanes |
-//! |------|-------------|------|-------|
-//! | `ref-serial-fn` | reference | functional | serial (baseline) |
-//! | `pre-serial-fn` | predecoded | functional | serial |
-//! | `pre-serial-ca` | predecoded | cycle-accurate | serial |
-//! | `pre-par-fn` | predecoded | functional | fan-out (threshold 0) |
+//! | path | interpreter | mode |
+//! |------|-------------|------|
+//! | `ref-fn` | reference | functional (baseline) |
+//! | `pre-fn` | predecoded | functional |
+//! | `pre-ca` | predecoded | cycle-accurate |
 //!
 //! Every non-baseline path must match the baseline in **full observable
 //! state**: [`ExecStats`], the instruction trace, every register of
@@ -69,7 +68,7 @@ pub struct PassReport {
 /// A reproducible disagreement between two execution paths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DivergenceReport {
-    /// Which pair of paths disagreed (e.g. `"pre-par-fn vs ref-serial-fn"`).
+    /// Which pair of paths disagreed (e.g. `"O2/pre-ca vs O2/ref-fn"`).
     pub pair: String,
     /// Pipeline stage the disagreement surfaced on (0-based; stages.len()
     /// for whole-chain comparisons).
@@ -133,33 +132,23 @@ struct Path {
     label: &'static str,
     reference: bool,
     cycle_accurate: bool,
-    parallel: bool,
 }
 
 const PATHS: &[Path] = &[
     Path {
-        label: "ref-serial-fn",
+        label: "ref-fn",
         reference: true,
         cycle_accurate: false,
-        parallel: false,
     },
     Path {
-        label: "pre-serial-fn",
+        label: "pre-fn",
         reference: false,
         cycle_accurate: false,
-        parallel: false,
     },
     Path {
-        label: "pre-serial-ca",
+        label: "pre-ca",
         reference: false,
         cycle_accurate: true,
-        parallel: false,
-    },
-    Path {
-        label: "pre-par-fn",
-        reference: false,
-        cycle_accurate: false,
-        parallel: true,
     },
 ];
 
@@ -170,23 +159,18 @@ fn run_stage(
     mem: &[u32],
     path: Path,
 ) -> Result<Observed, String> {
-    let config = if path.parallel {
-        m.config.clone().with_parallel_threshold(0)
-    } else {
-        m.config.clone()
-    };
-    let threads = config.threads;
-    let regs = config.regs_per_thread;
-    let mut cpu = Processor::new(config).map_err(|e| format!("config: {e}"))?;
+    let threads = m.config.threads;
+    let regs = m.config.regs_per_thread;
+    let mut cpu = Processor::new(m.config.clone()).map_err(|e| format!("config: {e}"))?;
     cpu.shared_mut()
         .load_words(0, mem)
         .map_err(|e| format!("seed memory: {e}"))?;
     cpu.load_program(program)
         .map_err(|e| format!("load: {e}"))?;
-    let opts = match (path.cycle_accurate, path.parallel) {
-        (true, _) => RunOptions::cycle_accurate(),
-        (false, true) => RunOptions::parallel(),
-        (false, false) => RunOptions::default(),
+    let opts = if path.cycle_accurate {
+        RunOptions::cycle_accurate()
+    } else {
+        RunOptions::default()
     };
     let (stats, trace) = if path.reference {
         cpu.run_reference_traced(opts)

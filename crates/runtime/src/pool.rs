@@ -233,7 +233,7 @@ impl Device {
 
     /// Modeled clocks for moving `words` over the host link.
     pub(crate) fn copy_cycles(&self, words: usize) -> u64 {
-        self.cfg.link_latency + words.div_ceil(self.cfg.link_width_words) as u64
+        simt_system::link_cycles(self.cfg.link_latency, self.cfg.link_width_words, words)
     }
 
     /// Fetch a processor for `config`, reusing a cached build when the

@@ -1,11 +1,11 @@
 //! The multi-device scheduler.
 //!
 //! One worker thread per pool device drains ready commands from any
-//! stream with work (spawned on the vendored rayon shim's `std::thread`
-//! substrate). A wake-up claims a *batch*: consecutive ready commands
-//! of one stream, up to `max_batch`, stopping after a launch so
-//! co-resident streams interleave — that is what lets one stream's
-//! copies overlap another stream's compute.
+//! stream with work (spawned with `std::thread::Builder`). A wake-up
+//! claims a *batch*: consecutive ready commands of one stream, up to
+//! `max_batch`, stopping after a launch so co-resident streams
+//! interleave — that is what lets one stream's copies overlap another
+//! stream's compute.
 //!
 //! Besides real host execution, the scheduler maintains a
 //! discrete-event **virtual timeline** in device clocks: every device

@@ -25,7 +25,6 @@ pub mod accel;
 
 use fpga_fabric::Device;
 use fpga_fitter::{best_of, seed_sweep, CompileOptions};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use simt_core::{
     ConfigError, ExecError, ExecStats, LoadError, Processor, ProcessorConfig, RunOptions,
@@ -46,6 +45,13 @@ pub struct SystemConfig {
     /// Link setup latency in clocks (arbitration + the sector-crossing
     /// pipeline stages of §6).
     pub link_latency: u64,
+}
+
+/// Modeled clocks to move `words` over a link: the setup latency plus
+/// one clock per `width_words`-wide beat, `latency + ceil(words / width)`.
+#[inline]
+pub fn link_cycles(latency: u64, width_words: usize, words: usize) -> u64 {
+    latency + words.div_ceil(width_words) as u64
 }
 
 impl Default for SystemConfig {
@@ -212,19 +218,16 @@ impl System {
             assert!(!seen[i], "duplicate core index {i}");
             seen[i] = true;
         }
-        let selected: Vec<&mut Processor> = self
+        // Every selected core runs even if an earlier one fails; the
+        // first error is reported.
+        let results: Vec<Result<ExecStats, ExecError>> = self
             .cores
             .iter_mut()
             .enumerate()
             .filter(|(i, _)| seen[*i])
-            .map(|(_, c)| c)
+            .map(|(_, c)| c.run(opts))
             .collect();
-        let results: Vec<Result<ExecStats, ExecError>> =
-            selected.into_par_iter().map(|c| c.run(opts)).collect();
-        let mut phase: Vec<ExecStats> = Vec::with_capacity(results.len());
-        for r in results {
-            phase.push(r?);
-        }
+        let phase = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(self.account_phase(phase))
     }
 
@@ -246,7 +249,7 @@ impl System {
         assert_ne!(src, dst, "transfer endpoints must differ");
         let words = self.cores[src].shared().read_words(src_off, len)?;
         self.cores[dst].shared_mut().load_words(dst_off, &words)?;
-        let clocks = self.config.link_latency + (len.div_ceil(self.config.link_width_words)) as u64;
+        let clocks = link_cycles(self.config.link_latency, self.config.link_width_words, len);
         self.stats.transfer_cycles += clocks;
         self.stats.cycles += clocks;
         self.stats.transfers += 1;

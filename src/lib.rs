@@ -46,7 +46,7 @@
 //!   and a pool-wide LRU-bounded compile cache on the launch path.
 //! * [`simt_fuzzgen`] — random-IR differential fuzzing: seeded
 //!   generation of valid kernel IR, an every-path differential executor
-//!   (O0/O2 × reference/predecoded × serial/parallel × eager/replayed),
+//!   (O0/O2 × reference/predecoded × eager/replayed),
 //!   a greedy failure minimizer, and the pinned regression corpus.
 //!
 //! ## Stream-API quickstart
