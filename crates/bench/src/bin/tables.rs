@@ -584,7 +584,8 @@ struct GraphBenchReport {
     /// Compiles paid once at `Runtime::instantiate` (whole-graph
     /// compilation through the pool cache).
     instantiate_compiles: u64,
-    /// Compile-cache hits across every replayed launch.
+    /// Replayed launches that ran a program compiled at instantiation
+    /// (every one of them).
     replay_compile_hits: u64,
     /// Compiles a replay had to perform (0: replays never recompile).
     replay_compile_misses: u64,

@@ -788,7 +788,7 @@ pub fn dce(k: &mut Kernel) -> bool {
 /// compares) hoist freely; a **load** additionally requires that no
 /// store anywhere in the body may alias it, decided with the
 /// [`crate::analysis`] address resolver at the architectural thread
-/// ceiling (a sound over-approximation — see [`MAX_THREADS`]). Masked
+/// ceiling (a sound over-approximation — see `MAX_THREADS`). Masked
 /// (guarded or thread-scaled) instructions, stores, params, results and
 /// nested loops never move. Inner loops are processed first, so an
 /// invariant hoists as many levels as its operands allow per pass, and
@@ -933,7 +933,7 @@ fn hoistable(
 /// never cross stores. Reordering therefore never changes results —
 /// the fixed-point property tests in `simt-kernels` pin this down.
 ///
-/// Motion distance is bounded ([`MAX_LOAD_HOIST`] / [`MAX_STORE_SINK`]):
+/// Motion distance is bounded (`MAX_LOAD_HOIST` / `MAX_STORE_SINK`):
 /// every position an operation moves extends a live range on a register
 /// file with **no spill path**, so unbounded motion would trade cycles
 /// the model does not even charge for `OutOfRegisters` failures on

@@ -6,14 +6,14 @@
 //! predicates, loop packing, cycle class and timing) on every *dynamic*
 //! instruction. A [`DecodedProgram`] does all of that once, at
 //! [`Processor::load_program`](crate::Processor::load_program) time,
-//! lowering each [`Instruction`] into a flat, repr-packed [`Uop`]:
+//! lowering each [`Instruction`] into a flat, repr-packed `Uop`:
 //!
 //! * operand register fields resolved to plain indices;
 //! * immediates widened per [`ImmForm`](simt_isa::ImmForm) (and loop
 //!   count / end address unpacked);
 //! * the optional predicate guard folded into two bytes (`guard_and`,
 //!   `guard_xor`) so a lane's pass test is one AND + one XOR with no
-//!   `Option` branch — see [`Uop::guard_passes`];
+//!   `Option` branch — see `Uop::guard_passes`;
 //! * `setp` destination and `selp` source predicate bits pre-shifted;
 //! * the active-thread count after dynamic scaling, the block shape and
 //!   the closed-form clock count pre-resolved against the processor

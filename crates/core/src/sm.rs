@@ -601,7 +601,6 @@ impl Processor {
                     }
                 }
                 shared.bump_reads(reads);
-                Ok(())
             }
             Opcode::Sts => {
                 shared.account_write_rows(u.lanes as usize, u.depth as usize);
@@ -616,7 +615,6 @@ impl Processor {
                         shared.write(pc, tid, w[ra].wrapping_add(imm) as usize, w[rb])?;
                     }
                 }
-                Ok(())
             }
 
             // ---- compares (predicate writers) -----------------------
@@ -818,6 +816,7 @@ impl Processor {
                 unreachable!("{:?} is not a data opcode", u.opcode)
             }
         }
+        Ok(())
     }
 
     fn run_reference_inner(
@@ -1160,14 +1159,7 @@ impl Processor {
 /// `take` bookkeeping) and the unguarded common case skips the guard
 /// test entirely.
 #[inline(always)]
-fn lanes<F>(
-    regs: &mut [u32],
-    preds: &[u8],
-    rpt: usize,
-    active: usize,
-    u: &Uop,
-    f: F,
-) -> Result<(), ExecError>
+fn lanes<F>(regs: &mut [u32], preds: &[u8], rpt: usize, active: usize, u: &Uop, f: F)
 where
     F: Fn(usize, &mut [u32]),
 {
@@ -1186,20 +1178,12 @@ where
             }
         }
     }
-    Ok(())
 }
 
 /// [`lanes`] variant whose body also reads the lane's predicate nibble
 /// (`selp`).
 #[inline(always)]
-fn lanes_pred_src<F>(
-    regs: &mut [u32],
-    preds: &[u8],
-    rpt: usize,
-    active: usize,
-    u: &Uop,
-    f: F,
-) -> Result<(), ExecError>
+fn lanes_pred_src<F>(regs: &mut [u32], preds: &[u8], rpt: usize, active: usize, u: &Uop, f: F)
 where
     F: Fn(&mut [u32], u8),
 {
@@ -1210,21 +1194,13 @@ where
             f(w, *p);
         }
     }
-    Ok(())
 }
 
 /// Drive a predicate-writing compare over the active thread set: the
 /// µop's pre-shifted destination bit is set or cleared per lane from
 /// `f(a, b)`.
 #[inline(always)]
-fn setp_lanes<F>(
-    regs: &[u32],
-    preds: &mut [u8],
-    rpt: usize,
-    active: usize,
-    u: &Uop,
-    f: F,
-) -> Result<(), ExecError>
+fn setp_lanes<F>(regs: &[u32], preds: &mut [u8], rpt: usize, active: usize, u: &Uop, f: F)
 where
     F: Fn(u32, u32) -> bool,
 {
@@ -1241,7 +1217,6 @@ where
             *p &= !bit;
         }
     }
-    Ok(())
 }
 
 /// Evaluate a predicate guard against a thread's predicate nibble.

@@ -10,7 +10,7 @@
 //! the real builder. Any structural edit to the AST — deleting an
 //! instruction, unwrapping a loop, shrinking a constant — still
 //! materializes to valid IR, which is exactly what the greedy
-//! minimizer ([`crate::minimize`]) needs.
+//! minimizer ([`crate::minimize()`]) needs.
 //!
 //! ## Soundness discipline for masked instructions
 //!

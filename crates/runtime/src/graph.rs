@@ -2,17 +2,23 @@
 //!
 //! A [`simt_graph::ExecGraph`] (built directly, or recorded with
 //! `Stream::begin_capture`/`end_capture`, optionally fused with
-//! [`simt_graph::fuse`]) becomes runnable in two steps:
+//! [`simt_graph::fuse()`]) becomes runnable in two steps:
 //!
 //! 1. [`Runtime::instantiate`] — validate every node against the pool
-//!    configuration and compile every launch through the pool-wide
-//!    content-addressed compile cache. Instantiation is the only
-//!    compile cost the graph ever pays; replays are pure cache hits.
+//!    configuration and resolve every launch through the pool-wide
+//!    content-addressed compile cache, binding the predecoded program
+//!    to its node. Instantiation is the only compile-cache traffic the
+//!    graph ever causes: replays run the bound programs without a
+//!    lookup, so a later LRU eviction cannot make a replay recompile.
 //! 2. [`Runtime::replay`] — execute the DAG against a fresh graph
-//!    buffer, walking a deterministic topological order and *placing*
-//!    each ready node on the least-loaded device engine of the pool's
+//!    buffer on a host-side execution context taken from a free list,
+//!    walking a deterministic topological order and *placing* each
+//!    ready node on the least-loaded device engine of the pool's
 //!    shared virtual timeline (launches on compute engines, copies on
-//!    DMA engines — the same dispatch rule stream commands use). The
+//!    DMA engines — the same dispatch rule stream commands use). No
+//!    lock is held across node execution, so replays from several host
+//!    threads run in parallel; their nodes may interleave on the
+//!    virtual timeline, as concurrent streams' commands do. The
 //!    returned [`GraphReplay`] carries the copy-out payloads, the
 //!    per-node placement trace and the replay's modeled span.
 //!
@@ -20,19 +26,22 @@
 //! copy-in node's payload between replays — new data, zero recompiles.
 
 use crate::stats::CommandKind;
-use crate::{Runtime, RuntimeError};
-use simt_compiler::OptLevel;
-use simt_core::ExecStats;
-use simt_graph::{ExecGraph, GraphOp, KernelSource, NodeId};
+use crate::{pool, Runtime, RuntimeError};
+use simt_core::{DecodedProgram, ExecStats};
+use simt_graph::{ExecGraph, GraphOp, NodeId};
 use simt_profile::{CommandClass, TraceEvent};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// An instantiated graph: validated against the pool and pre-compiled
-/// through its compile cache, ready to replay any number of times.
+/// An instantiated graph: validated against the pool, with every launch
+/// bound to its compiled program, ready to replay any number of times.
 #[derive(Debug)]
 pub struct GraphExec {
     graph: ExecGraph,
+    /// The predecoded program of each launch node, indexed by node
+    /// (`None` for copies).
+    programs: Vec<Option<Arc<DecodedProgram>>>,
     memory_words: usize,
 }
 
@@ -94,8 +103,9 @@ pub struct GraphReplay {
     pub span_cycles: u64,
     /// Aggregated execution statistics of every launch node.
     pub compute: ExecStats,
-    /// Launches that found their program in the pool's compile cache
-    /// (after instantiation, all of them).
+    /// Launches that ran an already-compiled program: every launch,
+    /// since each runs the program bound at instantiation, before the
+    /// replay started.
     pub compile_hits: u64,
 }
 
@@ -133,36 +143,31 @@ fn check_window(off: usize, len: usize, memory_words: usize) -> Result<(), Runti
 
 impl Runtime {
     /// Instantiate a graph: validate every copy window against the
-    /// device buffer and compile every launch through the pool-wide
+    /// device buffer and resolve every launch through the pool-wide
     /// compile cache (whole-graph compilation — one artifact per
-    /// distinct kernel, shared with the streams' launch path). The
-    /// artifacts are resolved in *predecoded* form, so every replayed
-    /// launch reuses the cached simulator decode (`decode_hits` on the
-    /// cache) instead of re-deriving it.
+    /// distinct kernel, shared with the streams' launch path). Each
+    /// launch node keeps its *predecoded* program, so replays neither
+    /// look it up again nor re-derive the simulator decode.
     pub fn instantiate(&self, graph: ExecGraph) -> Result<GraphExec, RuntimeError> {
         let memory_words = self.config().device.memory_words;
-        for node in graph.nodes() {
-            match &node.op {
-                GraphOp::CopyIn { dst, data } => check_window(*dst, data.len(), memory_words)?,
-                GraphOp::CopyOut { src, len } => check_window(*src, *len, memory_words)?,
-                GraphOp::Launch(spec) => {
-                    match &spec.source {
-                        KernelSource::Ir(kernel) => self
-                            .compile_cache()
-                            .get_or_compile_decoded(kernel, &spec.config, OptLevel::Full)
-                            .map(|_| ())
-                            .map_err(|e| RuntimeError::Compile(e.to_string()))?,
-                        KernelSource::Asm(asm) => self
-                            .compile_cache()
-                            .get_or_assemble_decoded(asm, &spec.config)
-                            .map(|_| ())
-                            .map_err(|e| RuntimeError::Asm(e.to_string()))?,
-                    };
+        let programs = graph
+            .nodes()
+            .iter()
+            .map(|node| match &node.op {
+                GraphOp::CopyIn { dst, data } => {
+                    check_window(*dst, data.len(), memory_words).map(|()| None)
                 }
-            }
-        }
+                GraphOp::CopyOut { src, len } => {
+                    check_window(*src, *len, memory_words).map(|()| None)
+                }
+                GraphOp::Launch(spec) => {
+                    pool::resolve(self.compile_cache(), spec).map(|(decoded, _)| Some(decoded))
+                }
+            })
+            .collect::<Result<_, _>>()?;
         Ok(GraphExec {
             graph,
+            programs,
             memory_words,
         })
     }
@@ -173,8 +178,32 @@ impl Runtime {
     /// timeline. Kernel results are bit-exact with eager stream
     /// execution of the same DAG; the placement breaks stream-device
     /// affinity, so independent branches land on different devices.
+    ///
+    /// Launches run the programs bound by [`Runtime::instantiate`] and
+    /// make no compile-cache call. The host-side execution context comes
+    /// from a free list locked only to pop and push it, so any number of
+    /// threads may replay (the same or different graphs) in parallel.
     pub fn replay(&self, exec: &GraphExec) -> Result<GraphReplay, RuntimeError> {
-        let mut device = self.replay_device.lock().unwrap();
+        let idle = self.replay_devices.lock().unwrap().pop();
+        let mut device = idle.unwrap_or_else(|| {
+            let cfg = self.config();
+            pool::Device::new(
+                cfg.devices,
+                cfg.device.clone(),
+                cfg.recovery.watchdog_cycle_budget,
+                self.pc_sink.clone(),
+            )
+        });
+        let replay = self.replay_on(&mut device, exec);
+        self.replay_devices.lock().unwrap().push(device);
+        replay
+    }
+
+    fn replay_on(
+        &self,
+        device: &mut pool::Device,
+        exec: &GraphExec,
+    ) -> Result<GraphReplay, RuntimeError> {
         let mut buffer = vec![0u32; exec.memory_words];
         let mut ends: HashMap<NodeId, u64> = HashMap::new();
         let mut replay = GraphReplay::default();
@@ -193,39 +222,26 @@ impl Runtime {
             let node = exec.graph.node(id);
             let ready = node.deps.iter().map(|d| ends[d]).max().unwrap_or(0);
             let t0 = Instant::now();
-            let (kind, cycles, words, stats, cache_hit, compile_hit) = match &node.op {
+            let (kind, cycles, words, stats, cache_hit) = match &node.op {
                 GraphOp::CopyIn { dst, data } => {
                     check_window(*dst, data.len(), buffer.len())?;
                     buffer[*dst..dst + data.len()].copy_from_slice(data);
                     let cycles = device.copy_cycles(data.len());
-                    (
-                        CommandKind::CopyIn,
-                        cycles,
-                        data.len() as u64,
-                        None,
-                        false,
-                        false,
-                    )
+                    (CommandKind::CopyIn, cycles, data.len() as u64, None, false)
                 }
                 GraphOp::CopyOut { src, len } => {
                     check_window(*src, *len, buffer.len())?;
                     replay.outputs.push((id, buffer[*src..src + len].to_vec()));
                     let cycles = device.copy_cycles(*len);
-                    (
-                        CommandKind::CopyOut,
-                        cycles,
-                        *len as u64,
-                        None,
-                        false,
-                        false,
-                    )
+                    (CommandKind::CopyOut, cycles, *len as u64, None, false)
                 }
                 GraphOp::Launch(spec) => {
-                    let outcome = device.run_launch(spec, &mut buffer)?;
+                    let decoded = exec.programs[id.index()]
+                        .clone()
+                        .expect("instantiate binds every launch node");
+                    let outcome = device.run_decoded(spec, decoded, true, &mut buffer)?;
                     replay.compute.merge(&outcome.stats);
-                    if outcome.compile_hit {
-                        replay.compile_hits += 1;
-                    }
+                    replay.compile_hits += 1;
                     let cycles = outcome.stats.cycles;
                     if let Some(m) = &self.shared.metrics {
                         m.record_kernel_cycles(&spec.name, cycles);
@@ -236,7 +252,6 @@ impl Runtime {
                         0,
                         Some(outcome.stats),
                         outcome.cache_hit,
-                        outcome.compile_hit,
                     )
                 }
             };
@@ -247,7 +262,6 @@ impl Runtime {
                 words,
                 stats.as_ref(),
                 cache_hit,
-                compile_hit,
                 t0.elapsed(),
             );
             ends.insert(id, end);

@@ -31,10 +31,11 @@
 //! * hot repeated DAGs graduate to **execution graphs**: capture a
 //!   stream (`Stream::begin_capture`/`end_capture`) or build a
 //!   [`GraphBuilder`] DAG, fuse back-to-back IR launch chains into
-//!   single kernels ([`fuse`]), [`instantiate`](Runtime::instantiate)
-//!   through the pool-wide compile cache, and
-//!   [`replay`](Runtime::replay) with topological least-loaded
-//!   placement and parameterized re-launch.
+//!   single kernels ([`fuse()`]), [`instantiate`](Runtime::instantiate)
+//!   (binding every launch to its program from the pool-wide compile
+//!   cache), and [`replay`](Runtime::replay) — in parallel from any
+//!   number of host threads, with no compile-cache lookup — with
+//!   topological least-loaded placement and parameterized re-launch.
 //!
 //! ## Quick example
 //!
@@ -251,9 +252,14 @@ const HOTSPOT_PCS: usize = 8;
 pub struct Runtime {
     shared: Arc<Shared>,
     compile_cache: Arc<CompileCache>,
-    /// Execution context for graph replay (host-side; placement on the
-    /// pool's virtual timelines is separate — see [`Runtime::replay`]).
-    replay_device: Mutex<pool::Device>,
+    /// Idle host-side execution contexts for graph replay. The lock is
+    /// held only to pop or push: a replay pops one (or builds one when
+    /// the list is empty), runs its nodes lock-free and pushes it back,
+    /// so concurrent replays run in parallel and the list never holds
+    /// more contexts than the most replays that ran at once. Placement
+    /// on the pool's virtual timelines is separate — see
+    /// [`Runtime::replay`].
+    replay_devices: Mutex<Vec<pool::Device>>,
     /// Pool-wide per-PC profile sink (`Some` only with
     /// [`ProfileConfig::per_pc`]).
     pc_sink: Option<Arc<pool::PcSink>>,
@@ -306,13 +312,6 @@ impl Runtime {
                 );
             }
         }
-        let replay_device = Mutex::new(pool::Device::new(
-            cfg.devices,
-            cfg.device.clone(),
-            cfg.recovery.watchdog_cycle_budget,
-            Arc::clone(&compile_cache),
-            pc_sink.clone(),
-        ));
         let workers = (0..cfg.devices)
             .map(|d| {
                 let shared = Arc::clone(&shared);
@@ -320,19 +319,19 @@ impl Runtime {
                     d,
                     cfg.device.clone(),
                     cfg.recovery.watchdog_cycle_budget,
-                    Arc::clone(&compile_cache),
                     pc_sink.clone(),
                 );
+                let compile_cache = Arc::clone(&compile_cache);
                 std::thread::Builder::new()
                     .name(format!("simt-dev{d}"))
-                    .spawn(move || worker_loop(shared, device))
+                    .spawn(move || worker_loop(shared, device, compile_cache))
                     .expect("spawn device worker")
             })
             .collect();
         Runtime {
             shared,
             compile_cache,
-            replay_device,
+            replay_devices: Mutex::new(Vec::new()),
             pc_sink,
             quarantine_reports: Mutex::new(Vec::new()),
             workers,

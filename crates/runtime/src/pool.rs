@@ -8,15 +8,17 @@
 //! "batch compatible launches onto the same device" fast path.
 //!
 //! Next to the per-device processor cache sits the pool-wide,
-//! content-addressed [`CompileCache`]: every launch resolves its
-//! [`KernelSource`] (text assembly or `simt-compiler` IR) through it,
-//! so a kernel is assembled/compiled exactly once per (source, config)
-//! no matter how many streams, devices or repeats launch it.
+//! content-addressed [`CompileCache`]: `resolve` turns a launch's
+//! [`KernelSource`] (text assembly or `simt-compiler` IR) into a
+//! predecoded program through it, so a kernel is assembled/compiled
+//! exactly once per (source, config) no matter how many streams,
+//! devices or repeats launch it. Stream launches resolve at execution;
+//! graph launches resolve once, at `Runtime::instantiate`.
 
 use crate::RuntimeError;
 use simt_chaos::{ChaosConfig, RecoveryConfig};
 use simt_compiler::{CompileCache, OptLevel};
-use simt_core::{ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
+use simt_core::{DecodedProgram, ExecStats, PcProfile, Processor, ProcessorConfig, RunOptions};
 use simt_isa::Program;
 use simt_kernels::{KernelSource, LaunchSpec};
 use simt_metrics::HealthConfig;
@@ -197,6 +199,26 @@ pub(crate) struct LaunchOutcome {
     pub compile_hit: bool,
 }
 
+/// Resolve a launch's kernel source through the pool compile cache in
+/// *predecoded* form: the simulator's µop decode rides the cached
+/// artifact, so repeated launches skip re-decoding (the cache's
+/// `decode_hits` counter tracks this). Returns the program and whether
+/// it was a cache hit; failures are typed [`RuntimeError::Asm`] /
+/// [`RuntimeError::Compile`].
+pub(crate) fn resolve(
+    cache: &CompileCache,
+    spec: &LaunchSpec,
+) -> Result<(Arc<DecodedProgram>, bool), RuntimeError> {
+    match &spec.source {
+        KernelSource::Asm(asm) => cache
+            .get_or_assemble_decoded(asm, &spec.config)
+            .map_err(|e| RuntimeError::Asm(e.to_string())),
+        KernelSource::Ir(kernel) => cache
+            .get_or_compile_decoded(kernel, &spec.config, OptLevel::Full)
+            .map_err(|e| RuntimeError::Compile(e.to_string())),
+    }
+}
+
 /// One simulated device.
 pub(crate) struct Device {
     /// Pool index.
@@ -206,8 +228,6 @@ pub(crate) struct Device {
     /// killed and resolved as [`RuntimeError::Timeout`].
     watchdog_cycle_budget: u64,
     cache: Vec<(ProcessorConfig, Processor)>,
-    /// Pool-wide compile cache (shared across every device).
-    compile_cache: Arc<CompileCache>,
     /// Pool-wide per-PC profile sink (`Some` only when the runtime was
     /// built with [`ProfileConfig::per_pc`]).
     pc_sink: Option<Arc<PcSink>>,
@@ -218,7 +238,6 @@ impl Device {
         id: usize,
         cfg: DeviceConfig,
         watchdog_cycle_budget: u64,
-        compile_cache: Arc<CompileCache>,
         pc_sink: Option<Arc<PcSink>>,
     ) -> Self {
         Device {
@@ -226,7 +245,6 @@ impl Device {
             cfg,
             watchdog_cycle_budget,
             cache: Vec::new(),
-            compile_cache,
             pc_sink,
         }
     }
@@ -253,30 +271,19 @@ impl Device {
         self.cache.truncate(PROCESSOR_CACHE);
     }
 
-    /// Execute one launch against the stream's device buffer: the
-    /// processor's shared memory is seeded from the buffer, inline spec
-    /// inputs are applied on top, the kernel runs to `exit`, and the
-    /// shared image is written back so later copies and launches see it.
-    ///
-    /// Compiles resolve through the pool cache in *predecoded* form:
-    /// the simulator's µop decode rides the cached artifact, so
-    /// repeated stream launches and graph replays skip re-decoding
-    /// (the cache's `decode_hits` counter tracks this).
-    pub(crate) fn run_launch(
+    /// Execute one launch of the resolved program `decoded` against a
+    /// device buffer: the processor's shared memory is seeded from the
+    /// buffer, inline spec inputs are applied on top, the kernel runs to
+    /// `exit`, and the shared image is written back so later copies and
+    /// launches see it. `compile_hit` is reported back unchanged (see
+    /// [`resolve`]).
+    pub(crate) fn run_decoded(
         &mut self,
         spec: &LaunchSpec,
+        decoded: Arc<DecodedProgram>,
+        compile_hit: bool,
         buffer: &mut [u32],
     ) -> Result<LaunchOutcome, RuntimeError> {
-        let (decoded, compile_hit) = match &spec.source {
-            KernelSource::Asm(asm) => self
-                .compile_cache
-                .get_or_assemble_decoded(asm, &spec.config)
-                .map_err(|e| RuntimeError::Asm(e.to_string()))?,
-            KernelSource::Ir(kernel) => self
-                .compile_cache
-                .get_or_compile_decoded(kernel, &spec.config, OptLevel::Full)
-                .map_err(|e| RuntimeError::Compile(e.to_string()))?,
-        };
         let (mut proc, cache_hit) = self.processor(&spec.config)?;
         let exec_err = |e: String| RuntimeError::Exec {
             kernel: spec.name.clone(),
@@ -359,9 +366,19 @@ mod tests {
             0,
             DeviceConfig::default(),
             RecoveryConfig::default().watchdog_cycle_budget,
-            Arc::new(CompileCache::new()),
             None,
         )
+    }
+
+    /// The stream path: resolve through `cache`, then run.
+    fn launch(
+        d: &mut Device,
+        cache: &CompileCache,
+        spec: &LaunchSpec,
+        buffer: &mut [u32],
+    ) -> Result<LaunchOutcome, RuntimeError> {
+        let (decoded, compile_hit) = resolve(cache, spec)?;
+        d.run_decoded(spec, decoded, compile_hit, buffer)
     }
 
     #[test]
@@ -375,6 +392,7 @@ mod tests {
     #[test]
     fn launch_reads_and_writes_the_buffer() {
         let mut d = device();
+        let cache = CompileCache::new();
         let x = int_vector(64, 1);
         let y = int_vector(64, 2);
         // Detached inputs: place them in the buffer, not the spec.
@@ -383,7 +401,7 @@ mod tests {
         for (off, words) in &inputs {
             buffer[*off..*off + words.len()].copy_from_slice(words);
         }
-        let out = d.run_launch(&spec, &mut buffer).unwrap();
+        let out = launch(&mut d, &cache, &spec, &mut buffer).unwrap();
         assert!(out.stats.cycles > 0);
         assert!(!out.cache_hit);
         assert!(!out.compile_hit, "first launch must compile");
@@ -392,7 +410,7 @@ mod tests {
             spec.expected.as_slice()
         );
         // Same config again: cached build and cached compile.
-        let again = d.run_launch(&spec, &mut buffer).unwrap();
+        let again = launch(&mut d, &cache, &spec, &mut buffer).unwrap();
         assert!(again.cache_hit);
         assert!(again.compile_hit);
         assert_eq!(again.stats.cycles, out.stats.cycles);
@@ -400,22 +418,22 @@ mod tests {
 
     #[test]
     fn ir_launches_compile_through_the_shared_cache() {
-        let cache = Arc::new(CompileCache::new());
+        let cache = CompileCache::new();
         let budget = RecoveryConfig::default().watchdog_cycle_budget;
-        let mut d0 = Device::new(0, DeviceConfig::default(), budget, Arc::clone(&cache), None);
-        let mut d1 = Device::new(1, DeviceConfig::default(), budget, Arc::clone(&cache), None);
+        let mut d0 = Device::new(0, DeviceConfig::default(), budget, None);
+        let mut d1 = Device::new(1, DeviceConfig::default(), budget, None);
         let x = int_vector(64, 1);
         let y = int_vector(64, 2);
         let spec = LaunchSpec::saxpy_ir(3, &x, &y);
         let mut buffer = vec![0u32; 16384];
-        let first = d0.run_launch(&spec, &mut buffer).unwrap();
+        let first = launch(&mut d0, &cache, &spec, &mut buffer).unwrap();
         assert!(!first.compile_hit);
         assert_eq!(
             &buffer[spec.out_off..spec.out_off + spec.out_len],
             spec.expected.as_slice()
         );
         // A *different* device reuses the pool-wide compiled artifact.
-        let second = d1.run_launch(&spec, &mut buffer).unwrap();
+        let second = launch(&mut d1, &cache, &spec, &mut buffer).unwrap();
         assert!(second.compile_hit);
         assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
@@ -423,11 +441,12 @@ mod tests {
     #[test]
     fn launch_errors_are_typed() {
         let mut d = device();
+        let cache = CompileCache::new();
         let x = int_vector(16, 1);
         let mut spec = LaunchSpec::sum(&x);
         spec.source = simt_kernels::KernelSource::Asm("  bogus r1".into());
         let mut buffer = vec![0u32; 16384];
-        match d.run_launch(&spec, &mut buffer) {
+        match launch(&mut d, &cache, &spec, &mut buffer) {
             Err(RuntimeError::Asm(_)) => {}
             other => panic!("expected Asm error, got {other:?}"),
         }
@@ -435,7 +454,7 @@ mod tests {
         // Compile error.
         let mut ir_spec = LaunchSpec::fir_ir(&int_vector(16 + 15, 2), &int_vector(16, 3), 16);
         ir_spec.config = ir_spec.config.with_regs_per_thread(2);
-        match d.run_launch(&ir_spec, &mut buffer) {
+        match launch(&mut d, &cache, &ir_spec, &mut buffer) {
             Err(RuntimeError::Compile(e)) => assert!(e.contains("register"), "{e}"),
             other => panic!("expected Compile error, got {other:?}"),
         }
@@ -447,9 +466,9 @@ mod tests {
             0,
             DeviceConfig::default(),
             10, // far below any real kernel's cycle count
-            Arc::new(CompileCache::new()),
             None,
         );
+        let cache = CompileCache::new();
         let x = int_vector(64, 1);
         let y = int_vector(64, 2);
         let (spec, inputs) = LaunchSpec::saxpy(3, &x, &y).detach_inputs();
@@ -458,7 +477,7 @@ mod tests {
             buffer[*off..*off + words.len()].copy_from_slice(words);
         }
         let before = buffer.clone();
-        match d.run_launch(&spec, &mut buffer) {
+        match launch(&mut d, &cache, &spec, &mut buffer) {
             Err(RuntimeError::Timeout {
                 kernel,
                 device,

@@ -25,13 +25,14 @@
 //! commands are recorded into a `simt_graph` DAG (per-stream chain
 //! edges, plus cross-stream edges through captured events) instead of
 //! executing, and graph replay places its nodes through the same
-//! least-loaded rule via [`Shared::place_graph_command`].
+//! least-loaded rule via `Shared::place_graph_command`.
 
-use crate::pool::{Device, RuntimeConfig};
+use crate::pool::{self, Device, RuntimeConfig};
 use crate::stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
 use crate::RuntimeError;
 use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
+use simt_compiler::CompileCache;
 use simt_core::ExecStats;
 use simt_forensics::{FlightEvent, FlightKind, FlightRecorder};
 use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
@@ -828,8 +829,9 @@ impl Shared {
 
     /// Place one graph-replay command on the least-loaded engine of the
     /// matching kind (the same dispatch rule stream commands use) and
-    /// merge it into the placement device's accounting. Returns
-    /// `(device, start, end)` in virtual cycles.
+    /// merge it into the placement device's accounting. Every replayed
+    /// launch counts as a compile hit: it runs the program bound at
+    /// instantiation. Returns `(device, start, end)` in virtual cycles.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn place_graph_command(
         &self,
@@ -839,7 +841,6 @@ impl Shared {
         words: u64,
         exec: Option<&ExecStats>,
         cache_hit: bool,
-        compile_hit: bool,
         wall: Duration,
     ) -> (usize, u64, u64) {
         let mut state = self.state.lock().unwrap();
@@ -865,11 +866,7 @@ impl Shared {
                 } else {
                     ds.cache_misses += 1;
                 }
-                if compile_hit {
-                    ds.compile_hits += 1;
-                } else {
-                    ds.compile_misses += 1;
-                }
+                ds.compile_hits += 1;
                 if let Some(stats) = exec {
                     ds.compute.merge(stats);
                 }
@@ -1485,8 +1482,13 @@ fn place(
     (p, start)
 }
 
-/// Body of one device worker thread.
-pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
+/// Body of one device worker thread. Launches resolve through the
+/// pool-wide `compile_cache` as they execute.
+pub(crate) fn worker_loop(
+    shared: Arc<Shared>,
+    mut device: Device,
+    compile_cache: Arc<CompileCache>,
+) {
     let d = device.id;
     loop {
         // Claim a batch (or sleep until there is one).
@@ -1642,7 +1644,9 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, mut device: Device) {
                         avoid,
                     });
                 }
-                Command::Launch { spec, sink } => match device.run_launch(&spec, &mut buffer) {
+                Command::Launch { spec, sink } => match pool::resolve(&compile_cache, &spec)
+                    .and_then(|(decoded, hit)| device.run_decoded(&spec, decoded, hit, &mut buffer))
+                {
                     Ok(outcome) => done.push(Done::Launch {
                         seq,
                         stats: outcome.stats,

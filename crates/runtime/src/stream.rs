@@ -233,7 +233,7 @@ impl Stream {
     /// Clear the stream's sticky error (CUDA's destroy-and-recreate
     /// recovery, folded into a reset): after a terminal failure every
     /// queued and subsequent command resolves with
-    /// [`RuntimeError::StreamPoisoned`](crate::RuntimeError::StreamPoisoned)
+    /// [`RuntimeError::StreamPoisoned`]
     /// until this is called. The failed commands stay failed — only
     /// new work is accepted again.
     pub fn reset(&self) {

@@ -106,34 +106,66 @@ fn looped_ir_launches_run_and_cache_through_the_runtime() {
     assert_eq!(rt.stats().compile_hits(), (REPEATS as u64 - 1) * 2);
 }
 
-#[test]
-fn graph_replays_reuse_the_cached_decode() {
-    use simt_runtime::GraphBuilder;
+/// A one-launch graph: `spec`, then a copy-out of its output window.
+fn launch_graph(spec: LaunchSpec) -> simt_runtime::ExecGraph {
+    let (off, len) = (spec.out_off, spec.out_len);
+    let mut b = simt_runtime::GraphBuilder::new();
+    let l = b.launch(spec, &[]);
+    b.copy_out(off, len, &[l]);
+    b.finish().unwrap()
+}
 
+#[test]
+fn graph_replays_never_touch_the_compile_cache() {
     let rt = Runtime::new(RuntimeConfig::with_devices(1));
     let x = int_vector(128, 5);
     let y = int_vector(128, 6);
     let spec = LaunchSpec::saxpy_ir(2, &x, &y);
     let expected = spec.expected.clone();
-    let (off, len) = (spec.out_off, spec.out_len);
-    let mut b = GraphBuilder::new();
-    let l = b.launch(spec, &[]);
-    b.copy_out(off, len, &[l]);
-    let graph = b.finish().unwrap();
 
     // Instantiate compiles AND decodes the kernel once.
-    let exec = rt.instantiate(graph).unwrap();
-    assert_eq!(rt.compile_cache().decode_misses(), 1);
-    assert_eq!(rt.compile_cache().decode_hits(), 0);
+    let exec = rt.instantiate(launch_graph(spec)).unwrap();
+    let cache = rt.compile_cache();
+    assert_eq!(cache.decode_misses(), 1);
+    let counters = |c: &simt_compiler::CompileCache| {
+        (c.hits(), c.misses(), c.decode_hits(), c.decode_misses())
+    };
+    let frozen = counters(cache);
 
-    // Every replayed launch is a decode hit — replay never re-decodes.
+    // Replays run the program bound at instantiation: no lookup at
+    // all, so every cache counter stays where instantiate left it.
     const REPLAYS: u64 = 3;
     for _ in 0..REPLAYS {
         let replay = rt.replay(&exec).unwrap();
         assert_eq!(replay.outputs[0].1, expected);
+        assert_eq!(replay.compile_hits, 1);
     }
-    assert_eq!(rt.compile_cache().decode_misses(), 1);
-    assert_eq!(rt.compile_cache().decode_hits(), REPLAYS);
+    assert_eq!(counters(cache), frozen);
+}
+
+#[test]
+fn replay_survives_eviction_of_its_kernel() {
+    let mut cfg = RuntimeConfig::with_devices(1);
+    cfg.compile_cache_capacity = Some(1);
+    let rt = Runtime::new(cfg);
+    let x = int_vector(64, 7);
+    let y = int_vector(64, 8);
+    let spec = LaunchSpec::saxpy_ir(3, &x, &y);
+    let expected = spec.expected.clone();
+    let exec = rt.instantiate(launch_graph(spec)).unwrap();
+
+    // A different kernel through the one-entry cache evicts the graph's.
+    let s = rt.stream();
+    s.launch(LaunchSpec::saxpy_ir(4, &x, &y));
+    rt.synchronize().unwrap();
+    assert_eq!(rt.compile_cache().evictions(), 1);
+    assert_eq!(rt.compile_cache().len(), 1);
+
+    // The replay runs its bound program: bit-exact, no recompile.
+    let misses = rt.compile_cache().misses();
+    let replay = rt.replay(&exec).unwrap();
+    assert_eq!(replay.outputs[0].1, expected);
+    assert_eq!(rt.compile_cache().misses(), misses);
 }
 
 #[test]

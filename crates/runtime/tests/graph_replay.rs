@@ -343,6 +343,52 @@ fn shutdown_during_replay_resolves_with_shutdown_not_a_hang() {
     assert!(matches!(rt.replay(&exec), Err(RuntimeError::Shutdown)));
 }
 
+#[test]
+fn concurrent_replays_run_in_parallel_and_stay_bit_exact() {
+    const THREADS: u64 = 4;
+    const REPLAYS: u64 = 50;
+    let x = int_vector(128, 3);
+    let y = int_vector(128, 4);
+    // Two different graphs: an unfused 3-launch chain and a fused one.
+    let pa = Pipeline::saxpy_scale_sum(3, 2, &x, &y, 0);
+    let pb = Pipeline::saxpy_scale_sum(-5, 1, &x, &y, 4096);
+    let (graph_a, out_a) = pipeline_graph(&pa);
+    let (graph_b, _) = fuse(&pipeline_graph(&pb).0);
+    let rt = Runtime::new(RuntimeConfig::default());
+    let exec_a = rt.instantiate(graph_a).unwrap();
+    let exec_b = rt.instantiate(graph_b).unwrap();
+    let launches = |g: &simt_runtime::ExecGraph| {
+        g.nodes()
+            .iter()
+            .filter(|n| matches!(n.op, simt_graph::GraphOp::Launch(_)))
+            .count() as u64
+    };
+    let per_round = launches(exec_a.graph()) + launches(exec_b.graph());
+    assert_eq!(per_round, 4);
+
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for _ in 0..REPLAYS {
+                    let a = rt.replay(&exec_a).unwrap();
+                    assert_eq!(a.output(out_a).unwrap(), pa.expected);
+                    let b = rt.replay(&exec_b).unwrap();
+                    assert_eq!(b.outputs[0].1, pb.expected);
+                }
+            });
+        }
+    });
+    // Every replayed launch is accounted on the pool, and each ran a
+    // program compiled before the replays started.
+    let stats = rt.stats();
+    let total = THREADS * REPLAYS * per_round;
+    assert_eq!(stats.devices.iter().map(|d| d.launches).sum::<u64>(), total);
+    assert_eq!(
+        stats.devices.iter().map(|d| d.compile_hits).sum::<u64>(),
+        total
+    );
+}
+
 /// The eager twin of a replay: enqueue the graph's nodes on one stream
 /// in the replay's own (deterministic, topological) order.
 fn eager_twin(rt: &Runtime, graph: &simt_runtime::ExecGraph) -> Vec<(NodeId, Vec<u32>)> {
