@@ -23,8 +23,7 @@
 //! workload through a profiled runtime and writes `PROFILE_trace.json`
 //! (Chrome trace-event JSON, Perfetto-loadable) plus
 //! `PROFILE_summary.json` (the flat [`simt_profile::summary`]
-//! roll-up); `--sim` additionally records the profiling-overhead row
-//! (launch latency with the profiler off / events on / per-PC on).
+//! roll-up).
 //!
 //! `--fuzz [N]` (standalone, not part of `--all`) sweeps seeds `0..N`
 //! (default 500) through the `simt-fuzzgen` differential matrix,
@@ -187,62 +186,6 @@ struct SimBenchReport {
     /// re-runs hit the cached decode).
     decode_misses: u64,
     decode_hits: u64,
-    /// Launch latency with the profiler off vs on — the disabled path
-    /// is a branch on `None` per instrumented site, so `disabled` must
-    /// track the pre-profiler baseline within measurement noise.
-    profiling_overhead: ProfilingOverheadRow,
-    /// Launch latency with the always-on metrics on (the default) vs
-    /// forced off — the cost of the counters themselves. Same
-    /// methodology as `profiling_overhead`; wall-clock, never asserted.
-    metrics_overhead: MetricsOverheadRow,
-    /// Launch latency with the always-on flight recorder on (the
-    /// default ring) vs `with_flight_capacity(0)`. Same methodology;
-    /// wall-clock, never asserted.
-    forensics_overhead: ForensicsOverheadRow,
-}
-
-/// End-to-end launch latency under the three profiler settings.
-#[derive(Debug, Clone, Serialize)]
-struct ProfilingOverheadRow {
-    /// Launches per timed batch.
-    batch: u64,
-    /// Profiler off (`RuntimeConfig::profile = None`) — the default.
-    disabled_us_per_launch: f64,
-    /// Event ring on, per-PC histograms off.
-    events_us_per_launch: f64,
-    /// Event ring and per-PC histograms on (`ProfileConfig::full`).
-    full_us_per_launch: f64,
-    /// `events / disabled` (1.0 = free).
-    events_ratio: f64,
-    /// `full / disabled`.
-    full_ratio: f64,
-}
-
-/// End-to-end launch latency with pool metrics on vs off.
-#[derive(Debug, Clone, Serialize)]
-struct MetricsOverheadRow {
-    /// Launches per timed batch.
-    batch: u64,
-    /// `RuntimeConfig::with_metrics(false)`.
-    disabled_us_per_launch: f64,
-    /// Metrics on — the default configuration.
-    enabled_us_per_launch: f64,
-    /// `enabled / disabled` (1.0 = free).
-    enabled_ratio: f64,
-}
-
-/// End-to-end launch latency with the flight recorder on vs off.
-#[derive(Debug, Clone, Serialize)]
-struct ForensicsOverheadRow {
-    /// Launches per timed batch.
-    batch: u64,
-    /// `RuntimeConfig::with_flight_capacity(0)` — every record site is
-    /// a branch on `None`.
-    disabled_us_per_launch: f64,
-    /// Default-capacity ring — the always-on configuration.
-    enabled_us_per_launch: f64,
-    /// `enabled / disabled` (1.0 = free).
-    enabled_ratio: f64,
 }
 
 /// One sim-harness workload: a compiled program plus its configuration.
@@ -452,108 +395,11 @@ fn sim() {
     assert!(decode_hits >= 3, "re-runs must hit the cached decode");
     println!("\ndecode cache over 4 repeated launches: {decode_misses} miss, {decode_hits} hits");
 
-    // Profiling overhead: the same launch batch through a 1-device
-    // pool with the profiler off, events-only, and full (per-PC).
-    // Disabled instrumentation is a branch on `None` per site, so the
-    // first column is the number that must not move.
-    let batch = 8u64;
-    let time_batch = |profile: Option<simt_profile::ProfileConfig>| {
-        let mut cfg = RuntimeConfig::with_devices(1);
-        cfg.profile = profile;
-        let rt = Runtime::new(cfg);
-        let s = rt.stream();
-        let spec = LaunchSpec::saxpy(3, &x, &y);
-        sim_time_per_run(|| {
-            for _ in 0..batch {
-                s.launch(spec.clone());
-            }
-            rt.synchronize().expect("overhead batch runs clean");
-        }) * 1e6
-            / batch as f64
-    };
-    let disabled = time_batch(None);
-    let events = time_batch(Some(simt_profile::ProfileConfig::default()));
-    let full = time_batch(Some(simt_profile::ProfileConfig::full()));
-    let profiling_overhead = ProfilingOverheadRow {
-        batch,
-        disabled_us_per_launch: disabled,
-        events_us_per_launch: events,
-        full_us_per_launch: full,
-        events_ratio: events / disabled,
-        full_ratio: full / disabled,
-    };
-    println!(
-        "\nprofiling overhead (saxpy, {batch}-launch batches): \
-         off {disabled:.2} us/launch, events {events:.2} ({:.2}x), full {full:.2} ({:.2}x)",
-        profiling_overhead.events_ratio, profiling_overhead.full_ratio
-    );
-
-    // Metrics overhead: the always-on counters vs the off switch. The
-    // hot path adds a handful of relaxed atomic adds and two histogram
-    // records per retired command — measured here, never asserted.
-    let time_batch_metrics = |metrics: bool| {
-        let rt = Runtime::new(RuntimeConfig::with_devices(1).with_metrics(metrics));
-        let s = rt.stream();
-        let spec = LaunchSpec::saxpy(3, &x, &y);
-        sim_time_per_run(|| {
-            for _ in 0..batch {
-                s.launch(spec.clone());
-            }
-            rt.synchronize().expect("metrics batch runs clean");
-        }) * 1e6
-            / batch as f64
-    };
-    let metrics_off = time_batch_metrics(false);
-    let metrics_on = time_batch_metrics(true);
-    let metrics_overhead = MetricsOverheadRow {
-        batch,
-        disabled_us_per_launch: metrics_off,
-        enabled_us_per_launch: metrics_on,
-        enabled_ratio: metrics_on / metrics_off,
-    };
-    println!(
-        "metrics overhead  (saxpy, {batch}-launch batches): \
-         off {metrics_off:.2} us/launch, on {metrics_on:.2} ({:.2}x)",
-        metrics_overhead.enabled_ratio
-    );
-
-    // Flight-recorder overhead: the always-on forensics ring vs
-    // capacity 0. The enabled path is one relaxed fetch_add plus a slot
-    // store per scheduler transition — measured here, never asserted.
-    let time_batch_flight = |capacity: usize| {
-        let rt = Runtime::new(RuntimeConfig::with_devices(1).with_flight_capacity(capacity));
-        let s = rt.stream();
-        let spec = LaunchSpec::saxpy(3, &x, &y);
-        sim_time_per_run(|| {
-            for _ in 0..batch {
-                s.launch(spec.clone());
-            }
-            rt.synchronize().expect("forensics batch runs clean");
-        }) * 1e6
-            / batch as f64
-    };
-    let flight_off = time_batch_flight(0);
-    let flight_on = time_batch_flight(RuntimeConfig::default().flight_capacity);
-    let forensics_overhead = ForensicsOverheadRow {
-        batch,
-        disabled_us_per_launch: flight_off,
-        enabled_us_per_launch: flight_on,
-        enabled_ratio: flight_on / flight_off,
-    };
-    println!(
-        "forensics overhead (saxpy, {batch}-launch batches): \
-         off {flight_off:.2} us/launch, on {flight_on:.2} ({:.2}x)",
-        forensics_overhead.enabled_ratio
-    );
-
     let report = SimBenchReport {
-        schema_version: 4,
+        schema_version: 5,
         rows,
         decode_misses,
         decode_hits,
-        profiling_overhead,
-        metrics_overhead,
-        forensics_overhead,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     write_artifact("BENCH_sim.json", &json);
@@ -2055,8 +1901,10 @@ fn chaos() {
 }
 
 /// The artifacts `--check` regenerates and gates on. `PROFILE_*` are
-/// excluded: the trace is a wall-clock-timestamped event log, not a
-/// metric baseline.
+/// excluded: every timestamp in them is a modeled cycle, but the two
+/// pool workers race for batches, so how many publishes (and gauge
+/// samples) a run records and which device resolves an event command
+/// vary from run to run.
 const CHECKED_ARTIFACTS: &[&str] = &[
     "BENCH_runtime.json",
     "BENCH_compiler.json",

@@ -20,9 +20,8 @@ use crate::error::CompileError;
 use crate::ir::{hash_config, Fnv, Kernel};
 use crate::lower::{compile, OptLevel};
 use simt_core::{DecodedProgram, ProcessorConfig};
-use simt_forensics::{CacheTier, FlightEvent, FlightRecorder};
 use simt_isa::{IsaError, Program};
-use simt_profile::{TraceEvent, Tracer};
+use simt_profile::{CacheTier, TraceEvent, Tracer};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -83,11 +82,8 @@ pub struct CompileCache {
     evictions: AtomicU64,
     decode_hits: AtomicU64,
     decode_misses: AtomicU64,
-    /// Optional structured-event sink (see [`CompileCache::with_tracer`]).
+    /// Optional event ring (see [`CompileCache::with_tracer`]).
     tracer: Option<Arc<Tracer>>,
-    /// Optional always-on flight recorder (see
-    /// [`CompileCache::with_flight`]).
-    flight: Option<Arc<FlightRecorder>>,
 }
 
 /// Internal lookup result: the program, its decode when requested, and
@@ -124,41 +120,33 @@ impl CompileCache {
         cache
     }
 
-    /// Attach a [`Tracer`]: every lookup then emits
-    /// [`TraceEvent::CompileCacheHit`] / [`TraceEvent::CompileCacheMiss`]
-    /// (plus the decode-cache pair), and every fresh IR compile emits one
-    /// [`TraceEvent::PassRun`] per pipeline pass invocation.
+    /// Attach an event ring: every compile- and decode-cache lookup then
+    /// records a [`TraceEvent::CacheQuery`]. With the ring's detail tier
+    /// on, every fresh IR compile also records one [`TraceEvent::PassRun`]
+    /// per pipeline pass invocation, and assembly kernels are labelled
+    /// by content hash.
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
     }
 
-    /// Attach a flight recorder: every compile- and decode-cache lookup
-    /// then records a compact [`FlightEvent::CacheQuery`], independent
-    /// of the opt-in tracer.
-    pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Record `event` when a tracer is attached (the disabled path is a
-    /// branch on `None`).
-    fn emit(&self, event: TraceEvent) {
+    /// Record a lookup outcome when a ring is attached (the disabled
+    /// path is a branch on `None`). `decoded` says whether a compile-tier
+    /// lookup asked for the predecoded form too.
+    fn record(&self, kernel: &str, cache: CacheTier, hit: bool, decoded: bool) {
         if let Some(t) = &self.tracer {
-            t.record(event);
-        }
-    }
-
-    /// Record a cache outcome on the flight recorder when one is
-    /// attached (same branch-on-`None` disabled path as `emit`).
-    fn note_cache(&self, kernel: &str, cache: CacheTier, hit: bool) {
-        if let Some(f) = &self.flight {
-            f.record(FlightEvent::CacheQuery {
+            t.record(TraceEvent::CacheQuery {
                 kernel: kernel.to_string(),
                 cache,
                 hit,
+                decoded,
             });
         }
+    }
+
+    /// The attached ring when its detail tier is on.
+    fn detail(&self) -> Option<&Tracer> {
+        self.tracer.as_deref().filter(|t| t.detail())
     }
 
     /// Claim `key` under the lock: hit, collision, or take ownership of
@@ -182,27 +170,17 @@ impl CompileCache {
                 if e.material == *material && e.config == *config {
                     e.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.emit(TraceEvent::CompileCacheHit {
-                        kernel: label.to_string(),
-                        decoded: want_decoded,
-                    });
-                    self.note_cache(label, CacheTier::Compile, true);
+                    self.record(label, CacheTier::Compile, true, want_decoded);
                     let decoded = if want_decoded {
                         Some(match &e.decoded {
                             Some(d) => {
                                 self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                                self.emit(TraceEvent::DecodeCacheHit {
-                                    kernel: label.to_string(),
-                                });
-                                self.note_cache(label, CacheTier::Decode, true);
+                                self.record(label, CacheTier::Decode, true, false);
                                 Arc::clone(d)
                             }
                             None => {
                                 self.decode_misses.fetch_add(1, Ordering::Relaxed);
-                                self.emit(TraceEvent::DecodeCacheMiss {
-                                    kernel: label.to_string(),
-                                });
-                                self.note_cache(label, CacheTier::Decode, false);
+                                self.record(label, CacheTier::Decode, false, false);
                                 let d = Arc::new(DecodedProgram::decode(
                                     Arc::clone(&e.program),
                                     &e.config,
@@ -217,18 +195,12 @@ impl CompileCache {
                     return Claim::Hit(Arc::clone(&e.program), decoded);
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.emit(TraceEvent::CompileCacheMiss {
-                    kernel: label.to_string(),
-                });
-                self.note_cache(label, CacheTier::Compile, false);
+                self.record(label, CacheTier::Compile, false, want_decoded);
                 return Claim::Collision;
             }
             if inner.pending.insert(key) {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.emit(TraceEvent::CompileCacheMiss {
-                    kernel: label.to_string(),
-                });
-                self.note_cache(label, CacheTier::Compile, false);
+                self.record(label, CacheTier::Compile, false, want_decoded);
                 return Claim::Owned;
             }
             inner = self.ready.wait(inner).unwrap();
@@ -322,9 +294,9 @@ impl CompileCache {
             }
             Claim::Owned => match compile(kernel, config, opt) {
                 Ok(compiled) => {
-                    if self.tracer.is_some() {
+                    if let Some(t) = self.detail() {
                         for ps in &compiled.report.passes {
-                            self.emit(TraceEvent::PassRun {
+                            t.record(TraceEvent::PassRun {
                                 kernel: kernel.name.clone(),
                                 pass: ps.pass.to_string(),
                                 insts_before: ps.insts_before,
@@ -391,8 +363,8 @@ impl CompileCache {
         let key = h.finish();
         let material = SourceMaterial::Asm(asm.to_string());
         // Assembly sources carry no kernel name; label by content hash
-        // (only materialized when a tracer is listening).
-        let label = if self.tracer.is_some() {
+        // (only materialized in the detail tier).
+        let label = if self.detail().is_some() {
             format!("asm#{key:016x}")
         } else {
             String::new()
@@ -441,10 +413,7 @@ impl CompileCache {
             return None;
         }
         self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        self.emit(TraceEvent::DecodeCacheMiss {
-            kernel: label.to_string(),
-        });
-        self.note_cache(label, CacheTier::Decode, false);
+        self.record(label, CacheTier::Decode, false, false);
         Some(Arc::new(DecodedProgram::decode(
             Arc::clone(program),
             config,
@@ -716,9 +685,19 @@ mod tests {
         assert_eq!((cache.decode_hits(), cache.decode_misses()), (1, 1));
     }
 
+    /// Count the ring's cache queries of one tier and outcome.
+    fn queries(ev: &[TraceEvent], cache: CacheTier, hit: bool) -> usize {
+        ev.iter()
+            .filter(|e| {
+                matches!(e, TraceEvent::CacheQuery { cache: c, hit: h, .. }
+                    if *c == cache && *h == hit)
+            })
+            .count()
+    }
+
     #[test]
-    fn tracer_sees_hits_misses_decodes_and_passes() {
-        let tracer = Arc::new(Tracer::new(256));
+    fn detail_tier_sees_hits_misses_decodes_and_passes() {
+        let tracer = Arc::new(Tracer::new(256, true));
         let cache = CompileCache::new().with_tracer(Arc::clone(&tracer));
         let cfg = ProcessorConfig::small();
         let k = kernel(3);
@@ -733,40 +712,38 @@ mod tests {
         // Assembly miss, labelled by content hash.
         cache.get_or_assemble("  stid r1\n  exit", &cfg).unwrap();
         let ev = tracer.events();
-        let count = |f: &dyn Fn(&TraceEvent) -> bool| ev.iter().filter(|e| f(e)).count();
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::CompileCacheMiss { .. })),
-            2
-        );
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::CompileCacheHit { decoded: true, .. })),
-            1
-        );
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::DecodeCacheMiss { .. })),
-            1
-        );
-        assert_eq!(
-            count(&|e| matches!(e, TraceEvent::DecodeCacheHit { .. })),
-            1
-        );
+        assert_eq!(queries(&ev, CacheTier::Compile, false), 2);
+        assert_eq!(queries(&ev, CacheTier::Compile, true), 1);
+        assert_eq!(queries(&ev, CacheTier::Decode, false), 1);
+        assert_eq!(queries(&ev, CacheTier::Decode, true), 1);
+        assert!(ev.iter().any(|e| matches!(
+            e,
+            TraceEvent::CacheQuery {
+                cache: CacheTier::Compile,
+                hit: true,
+                decoded: true,
+                ..
+            }
+        )));
         assert!(
-            count(&|e| matches!(e, TraceEvent::PassRun { .. })) > 0,
+            ev.iter().any(|e| matches!(e, TraceEvent::PassRun { .. })),
             "full-opt compiles report their passes"
         );
         // IR events carry the kernel name; asm events a hash label.
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, TraceEvent::CompileCacheMiss { kernel } if kernel == "k")));
-        assert!(ev.iter().any(
-            |e| matches!(e, TraceEvent::CompileCacheMiss { kernel } if kernel.starts_with("asm#"))
-        ));
+        let miss_labelled = |f: &dyn Fn(&str) -> bool| {
+            ev.iter().any(|e| {
+                matches!(e, TraceEvent::CacheQuery { kernel, cache: CacheTier::Compile, hit: false, .. }
+                    if f(kernel))
+            })
+        };
+        assert!(miss_labelled(&|k| k == "k"));
+        assert!(miss_labelled(&|k| k.starts_with("asm#")));
     }
 
     #[test]
-    fn flight_recorder_sees_cache_outcomes() {
-        let flight = Arc::new(FlightRecorder::new(64));
-        let cache = CompileCache::new().with_flight(Arc::clone(&flight));
+    fn compact_tier_sees_cache_outcomes_only() {
+        let tracer = Arc::new(Tracer::new(64, false));
+        let cache = CompileCache::new().with_tracer(Arc::clone(&tracer));
         let cfg = ProcessorConfig::small();
         let k = kernel(5);
         // Fresh decoded compile: compile miss + decode miss.
@@ -777,23 +754,23 @@ mod tests {
         cache
             .get_or_compile_decoded(&k, &cfg, OptLevel::Full)
             .unwrap();
-        let ev = flight.snapshot();
-        let count = |cache: CacheTier, hit: bool| {
-            ev.iter()
-                .filter(|r| {
-                    matches!(&r.event, FlightEvent::CacheQuery { cache: c, hit: h, .. }
-                        if *c == cache && *h == hit)
-                })
-                .count()
-        };
-        assert_eq!(count(CacheTier::Compile, false), 1);
-        assert_eq!(count(CacheTier::Compile, true), 1);
-        assert_eq!(count(CacheTier::Decode, false), 1);
-        assert_eq!(count(CacheTier::Decode, true), 1);
-        assert!(ev.iter().all(|r| matches!(
-            &r.event,
-            FlightEvent::CacheQuery { kernel, .. } if kernel == "k"
-        )));
+        // Assembly lookups carry no label outside the detail tier.
+        cache.get_or_assemble("  stid r1\n  exit", &cfg).unwrap();
+        let ev = tracer.events();
+        assert_eq!(queries(&ev, CacheTier::Compile, false), 2);
+        assert_eq!(queries(&ev, CacheTier::Compile, true), 1);
+        assert_eq!(queries(&ev, CacheTier::Decode, false), 1);
+        assert_eq!(queries(&ev, CacheTier::Decode, true), 1);
+        // Nothing but cache queries: no pass runs, and names only
+        // where the source carries one.
+        let labels: Vec<&str> = ev
+            .iter()
+            .map(|e| match e {
+                TraceEvent::CacheQuery { kernel, .. } => kernel.as_str(),
+                other => panic!("compact tier recorded {other:?}"),
+            })
+            .collect();
+        assert_eq!(labels, vec!["k", "k", "k", "k", ""]);
     }
 
     #[test]

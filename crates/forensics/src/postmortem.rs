@@ -6,21 +6,21 @@
 //! pure plain data — modeled cycles and sequence numbers only — so the
 //! same program and seed produce byte-identical reports.
 
-use crate::{FlightDump, FlightEvent};
 use serde::{Deserialize, Serialize};
 use simt_metrics::{names, HealthReport, MetricsSnapshot};
+use simt_profile::{labels, TraceDump, TraceEvent};
 
-/// One point of a gauge timeline, keyed by flight-recorder sequence
-/// number (the deterministic substitute for wall-clock time).
+/// One point of a gauge timeline, keyed by ring sequence number (the
+/// deterministic substitute for wall-clock time).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaugePoint {
-    /// Flight-recorder sequence number of the sample.
+    /// Ring sequence number of the sample.
     pub seq: u64,
     /// Gauge value at that point.
     pub value: u64,
 }
 
-/// The evolution of one gauge over the flight-recorder window.
+/// The evolution of one gauge over the ring's surviving window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaugeTimeline {
     /// Metric name (`stream_queue_depth` or `outstanding_commands`).
@@ -31,10 +31,10 @@ pub struct GaugeTimeline {
     pub points: Vec<GaugePoint>,
 }
 
-/// Derive queue-depth and outstanding-command timelines from a flight
+/// Derive queue-depth and outstanding-command timelines from a ring
 /// dump: every `Enqueue`/`Publish` event carries the post-transition
 /// gauge values, so the dump *is* the timeline.
-pub fn gauge_timelines(dump: &FlightDump) -> Vec<GaugeTimeline> {
+pub fn gauge_timelines(dump: &TraceDump) -> Vec<GaugeTimeline> {
     use std::collections::BTreeMap;
     let mut series: BTreeMap<(String, String), Vec<GaugePoint>> = BTreeMap::new();
     let mut push = |name: &str, label: String, seq: u64, value: u64| {
@@ -45,24 +45,19 @@ pub fn gauge_timelines(dump: &FlightDump) -> Vec<GaugeTimeline> {
     };
     for rec in &dump.events {
         match &rec.event {
-            FlightEvent::Enqueue {
+            TraceEvent::Enqueue {
                 stream,
                 depth,
                 outstanding,
                 ..
             }
-            | FlightEvent::Publish {
+            | TraceEvent::Publish {
                 stream,
                 depth,
                 outstanding,
                 ..
             } => {
-                push(
-                    names::QUEUE_DEPTH,
-                    format!("stream{stream}"),
-                    rec.seq,
-                    *depth,
-                );
+                push(names::QUEUE_DEPTH, labels::stream(*stream), rec.seq, *depth);
                 push(names::OUTSTANDING, String::new(), rec.seq, *outstanding);
             }
             _ => {}
@@ -121,17 +116,19 @@ pub struct PostmortemReport {
     pub health: HealthReport,
     /// Full metrics snapshot at assembly time.
     pub metrics: MetricsSnapshot,
-    /// The flight recorder's surviving window.
-    pub flight: FlightDump,
+    /// The event ring's surviving window (the flight dump).
+    pub flight: TraceDump,
     /// Queue-depth / outstanding timelines derived from `flight`.
     pub timelines: Vec<GaugeTimeline>,
     /// Per-PC hotspots for profiled kernels (empty when profiling was
-    /// off — the flight recorder alone never pays for per-PC data).
+    /// off — the always-on ring never pays for per-PC data).
     pub hotspots: Vec<KernelHotspots>,
 }
 
 /// Current postmortem schema version.
-pub const POSTMORTEM_SCHEMA_VERSION: u32 = 1;
+/// Version 2: the flight window holds the ring's unified
+/// `simt_profile::TraceEvent`s.
+pub const POSTMORTEM_SCHEMA_VERSION: u32 = 2;
 
 impl PostmortemReport {
     /// Human-readable rendering: what an operator reads before opening
@@ -205,33 +202,36 @@ impl PostmortemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlightKind, FlightRecorder};
+    use simt_profile::{CommandKind, Tracer};
 
-    fn dump_with_gauges() -> FlightDump {
-        let r = FlightRecorder::new(16);
-        r.record(FlightEvent::Enqueue {
+    fn dump_with_gauges() -> TraceDump {
+        let r = Tracer::new(16, false);
+        r.record(TraceEvent::Enqueue {
             stream: 0,
-            kind: FlightKind::Launch,
+            kind: CommandKind::Launch,
             depth: 1,
             outstanding: 1,
+            at: 0,
         });
-        r.record(FlightEvent::Enqueue {
+        r.record(TraceEvent::Enqueue {
             stream: 1,
-            kind: FlightKind::CopyIn,
+            kind: CommandKind::CopyIn,
             depth: 1,
             outstanding: 2,
+            at: 0,
         });
-        r.record(FlightEvent::Batch {
+        r.record(TraceEvent::Batch {
             stream: 0,
             device: 0,
             commands: 1,
         });
-        r.record(FlightEvent::Publish {
+        r.record(TraceEvent::Publish {
             stream: 0,
             device: 0,
             commands: 1,
             depth: 0,
             outstanding: 1,
+            at: 90,
         });
         r.dump()
     }
@@ -259,6 +259,12 @@ mod tests {
             s0.points.iter().map(|p| p.value).collect::<Vec<_>>(),
             vec![1, 0]
         );
+    }
+
+    #[test]
+    fn chrome_counter_tracks_share_the_gauge_names() {
+        assert_eq!(simt_profile::chrome::QUEUE_DEPTH, names::QUEUE_DEPTH);
+        assert_eq!(simt_profile::chrome::OUTSTANDING, names::OUTSTANDING);
     }
 
     #[test]

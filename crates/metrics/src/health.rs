@@ -97,8 +97,8 @@ pub enum HealthFinding {
 }
 
 impl HealthFinding {
-    /// Compact single-line label (`device_stall(device1)`), the form a
-    /// flight recorder logs for a health transition.
+    /// Compact single-line label (`device_stall(device1)`), the form the
+    /// runtime's event ring records for a health transition.
     pub fn label(&self) -> String {
         match self {
             HealthFinding::DeviceStall { device, .. } => format!("device_stall({device})"),

@@ -1,4 +1,4 @@
-//! Chrome trace-event JSON exporter.
+//! Chrome trace-event view of the ring.
 //!
 //! Renders a [`TraceEvent`] stream as the Trace Event Format's JSON
 //! array flavor, loadable in `chrome://tracing` and Perfetto. The
@@ -10,19 +10,23 @@
 //!   record/wait instants);
 //! * one `streams` process with one thread per stream, carrying each
 //!   stream's commands as spans (the stream-ordered view of the same
-//!   work) plus launch-dispatch instants;
+//!   work) plus launch-dispatch instants, and the per-stream
+//!   queue-depth counter sampled at every enqueue and publish;
 //! * one `host` process for work with no modeled timeline — compile /
 //!   decode cache lookups and optimization pass runs (`compiler`
-//!   thread, sequenced by record order) and whole-graph replay spans
-//!   (`graph` thread).
+//!   thread, sequenced by record order), whole-graph replay spans
+//!   (`graph` thread) and the pool-wide outstanding-commands counter.
+//!
+//! Scheduler bookkeeping with no span of its own (batch claims,
+//! pause/resume, faults, retries, health findings) is not rendered;
+//! the flight dump in `simt-forensics` shows it.
 //!
 //! Timestamps are **modeled device cycles mapped 1:1 to microseconds**
-//! — the timeline shows virtual time, not host wall-clock, so exports
-//! are deterministic. Every emitted object carries the same key set
-//! (`name, cat, ph, ts, dur, pid, tid, args`), which keeps structural
-//! validation trivial.
+//! — the timeline shows virtual time, not host wall-clock. Every
+//! emitted object carries the same key set (`name, cat, ph, ts, dur,
+//! pid, tid, args`), which keeps structural validation trivial.
 
-use crate::{labels, CommandClass, TraceEvent};
+use crate::{labels, CacheTier, CommandKind, TraceEvent};
 use serde::Value;
 use std::collections::BTreeMap;
 
@@ -40,12 +44,15 @@ pub const TID_DMA: u64 = 1;
 /// Sync thread id within a device process.
 pub const TID_SYNC: u64 = 2;
 
+/// Counter-track name of the per-stream queue depth (the metric name
+/// `simt_metrics::names::QUEUE_DEPTH`).
+pub const QUEUE_DEPTH: &str = "stream_queue_depth";
+/// Counter-track name of the pool-wide outstanding commands (the metric
+/// name `simt_metrics::names::OUTSTANDING`).
+pub const OUTSTANDING: &str = "outstanding_commands";
+
 fn entry(k: &str, v: Value) -> (String, Value) {
     (k.to_string(), v)
-}
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_string())
 }
 
 fn u(v: u64) -> Value {
@@ -65,9 +72,9 @@ fn obj(
     args: Vec<(String, Value)>,
 ) -> Value {
     let mut fields = vec![
-        entry("name", s(name)),
-        entry("cat", s(cat)),
-        entry("ph", s(ph)),
+        entry("name", Value::Str(name.to_string())),
+        entry("cat", Value::Str(cat.to_string())),
+        entry("ph", Value::Str(ph.to_string())),
         entry("ts", u(ts)),
         entry("dur", u(dur)),
         entry("pid", u(pid)),
@@ -75,23 +82,24 @@ fn obj(
     ];
     if ph == "i" {
         // Thread-scoped instant; extra key, same mandatory shape.
-        fields.push(entry("s", s("t")));
+        fields.push(entry("s", Value::Str("t".into())));
     }
     fields.push(entry("args", Value::Map(args)));
     Value::Map(fields)
 }
 
-fn span(name: &str, cat: &str, ts: u64, end: u64, pid: u64, tid: u64) -> Value {
-    obj(
-        name,
-        cat,
-        "X",
-        ts,
-        end.saturating_sub(ts),
-        pid,
-        tid,
-        Vec::new(),
-    )
+/// A complete (`"X"`) span from `start` to `end`.
+fn span(name: &str, cat: &str, start: u64, end: u64, pid: u64, tid: u64) -> Value {
+    let dur = end.saturating_sub(start);
+    obj(name, cat, "X", start, dur, pid, tid, Vec::new())
+}
+
+fn with_args(mut v: Value, args: Vec<(String, Value)>) -> Value {
+    if let Value::Map(fields) = &mut v {
+        fields.pop();
+        fields.push(entry("args", Value::Map(args)));
+    }
+    v
 }
 
 fn named(kernel: &str, fallback: &str) -> String {
@@ -102,67 +110,107 @@ fn named(kernel: &str, fallback: &str) -> String {
     }
 }
 
-/// Render the event stream as a Chrome trace [`Value`] tree (a JSON
-/// array of trace objects). `dropped` is the tracer's dropped-event
-/// count ([`crate::Tracer::dropped`]); it is surfaced in a
-/// `trace_metadata` record so a truncated export is visibly partial.
-/// Useful when the caller wants to post-process before serializing;
-/// most callers want [`chrome_trace`].
-pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
-    let mut out: Vec<Value> = Vec::new();
-    // Track registries: pid -> process name, (pid, tid) -> thread name.
-    let mut processes: BTreeMap<u64, String> = BTreeMap::new();
-    let mut threads: BTreeMap<(u64, u64), String> = BTreeMap::new();
-    let mut body: Vec<Value> = Vec::new();
-    // Host-side events have no modeled timeline; sequence them by
-    // record order so the track is stable and deterministic.
-    let mut host_seq: u64 = 0;
+/// Process and thread names seen so far, emitted as metadata.
+#[derive(Default)]
+struct Tracks {
+    processes: BTreeMap<u64, String>,
+    threads: BTreeMap<(u64, u64), String>,
+    /// Host-side events have no modeled timeline; they are sequenced
+    /// by record order so the track is stable and deterministic.
+    host_seq: u64,
+}
 
-    fn device_thread(
-        d: usize,
-        tid: u64,
-        processes: &mut BTreeMap<u64, String>,
-        threads: &mut BTreeMap<(u64, u64), String>,
-    ) -> u64 {
+impl Tracks {
+    fn process(&mut self, pid: u64) {
+        self.processes.entry(pid).or_insert_with(|| match pid {
+            HOST_PID => "host".into(),
+            STREAMS_PID => "streams".into(),
+            _ => labels::device((pid - DEVICE_PID0) as usize),
+        });
+    }
+
+    fn thread(&mut self, pid: u64, tid: u64, name: String) {
+        self.process(pid);
+        self.threads.entry((pid, tid)).or_insert(name);
+    }
+
+    /// Register an engine thread of device `d`; returns its pid.
+    fn device(&mut self, d: usize, tid: u64) -> u64 {
         let pid = DEVICE_PID0 + d as u64;
-        processes.entry(pid).or_insert_with(|| labels::device(d));
         let name = match tid {
             TID_COMPUTE => "compute",
             TID_DMA => "dma",
             _ => "sync",
         };
-        threads
-            .entry((pid, tid))
-            .or_insert_with(|| name.to_string());
+        self.thread(pid, tid, name.into());
         pid
     }
 
+    /// Register the track of `stream`; returns its tid.
+    fn stream(&mut self, stream: usize) -> u64 {
+        let tid = stream as u64;
+        self.thread(STREAMS_PID, tid, labels::stream(stream));
+        tid
+    }
+
+    /// Register a host thread (0 = `compiler`, 1 = `graph`).
+    fn host(&mut self, tid: u64) {
+        let name = if tid == 0 { "compiler" } else { "graph" };
+        self.thread(HOST_PID, tid, name.into());
+    }
+
+    /// A unit span on the host `compiler` track at the next sequence
+    /// slot.
+    fn host_span(&mut self, name: &str, cat: &str, args: Vec<(String, Value)>) -> Value {
+        self.host(0);
+        let ts = self.host_seq;
+        self.host_seq += 1;
+        obj(name, cat, "X", ts, 1, HOST_PID, 0, args)
+    }
+}
+
+/// Render the event stream as a Chrome trace [`Value`] tree (a JSON
+/// array of trace objects). `dropped` is the ring's dropped-event count
+/// ([`crate::Tracer::dropped`]); it is surfaced in a `trace_metadata`
+/// record so a truncated export is visibly partial. Useful when the
+/// caller wants to post-process before serializing; most callers want
+/// [`chrome_trace`].
+pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
+    let mut tracks = Tracks::default();
+    let mut body: Vec<Value> = Vec::new();
+
     for e in events {
         match e {
-            TraceEvent::KernelLaunch {
+            TraceEvent::Enqueue {
                 stream,
-                seq,
-                device,
-                kernel,
-                start,
-            } => {
-                let pid = STREAMS_PID;
-                processes.entry(pid).or_insert_with(|| "streams".into());
-                threads
-                    .entry((pid, *stream as u64))
-                    .or_insert_with(|| labels::stream(*stream));
-                body.push(obj(
-                    &format!("launch {}", named(kernel, "kernel")),
-                    "kernel",
-                    "i",
-                    *start,
-                    0,
-                    pid,
-                    *stream as u64,
-                    vec![entry("seq", u(*seq)), entry("device", u(*device as u64))],
-                ));
+                depth,
+                outstanding,
+                at,
+                ..
             }
-            TraceEvent::KernelRetire {
+            | TraceEvent::Publish {
+                stream,
+                depth,
+                outstanding,
+                at,
+                ..
+            } => {
+                // Counter tracks ("ph":"C"): Perfetto renders one
+                // stepped timeline per (pid, name). Per-stream queue
+                // depth lives on the streams process, the pool-wide
+                // outstanding count on the host process.
+                tracks.process(STREAMS_PID);
+                tracks.process(HOST_PID);
+                let depth_track = format!("{QUEUE_DEPTH} {}", labels::stream(*stream));
+                for (name, pid, value) in [
+                    (depth_track.as_str(), STREAMS_PID, depth),
+                    (OUTSTANDING, HOST_PID, outstanding),
+                ] {
+                    let args = vec![entry("value", u(*value))];
+                    body.push(obj(name, "gauge", "C", *at, 0, pid, 0, args));
+                }
+            }
+            TraceEvent::Kernel {
                 stream,
                 seq,
                 device,
@@ -172,27 +220,27 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
                 instructions,
             } => {
                 let name = named(kernel, "kernel");
-                let pid = device_thread(*device, TID_COMPUTE, &mut processes, &mut threads);
-                let mut ev = span(&name, "kernel", *start, *end, pid, TID_COMPUTE);
-                if let Value::Map(fields) = &mut ev {
-                    fields.pop();
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![
-                            entry("stream", u(*stream as u64)),
-                            entry("seq", u(*seq)),
-                            entry("instructions", u(*instructions)),
-                        ]),
-                    ));
-                }
-                body.push(ev);
+                let tid = tracks.stream(*stream);
+                body.push(obj(
+                    &format!("launch {name}"),
+                    "kernel",
+                    "i",
+                    *start,
+                    0,
+                    STREAMS_PID,
+                    tid,
+                    vec![entry("seq", u(*seq)), entry("device", u(*device as u64))],
+                ));
+                let pid = tracks.device(*device, TID_COMPUTE);
+                let args = vec![
+                    entry("stream", u(*stream as u64)),
+                    entry("seq", u(*seq)),
+                    entry("instructions", u(*instructions)),
+                ];
+                let ev = span(&name, "kernel", *start, *end, pid, TID_COMPUTE);
+                body.push(with_args(ev, args));
                 // Stream-ordered view of the same span.
-                let spid = STREAMS_PID;
-                processes.entry(spid).or_insert_with(|| "streams".into());
-                threads
-                    .entry((spid, *stream as u64))
-                    .or_insert_with(|| labels::stream(*stream));
-                body.push(span(&name, "kernel", *start, *end, spid, *stream as u64));
+                body.push(span(&name, "kernel", *start, *end, STREAMS_PID, tid));
             }
             TraceEvent::Copy {
                 stream,
@@ -204,26 +252,16 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
                 end,
             } => {
                 let name = if *to_device { "copy-in" } else { "copy-out" };
-                let pid = device_thread(*device, TID_DMA, &mut processes, &mut threads);
-                let mut ev = span(name, "copy", *start, *end, pid, TID_DMA);
-                if let Value::Map(fields) = &mut ev {
-                    fields.pop();
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![
-                            entry("stream", u(*stream as u64)),
-                            entry("seq", u(*seq)),
-                            entry("words", u(*words)),
-                        ]),
-                    ));
-                }
-                body.push(ev);
-                let spid = STREAMS_PID;
-                processes.entry(spid).or_insert_with(|| "streams".into());
-                threads
-                    .entry((spid, *stream as u64))
-                    .or_insert_with(|| labels::stream(*stream));
-                body.push(span(name, "copy", *start, *end, spid, *stream as u64));
+                let pid = tracks.device(*device, TID_DMA);
+                let args = vec![
+                    entry("stream", u(*stream as u64)),
+                    entry("seq", u(*seq)),
+                    entry("words", u(*words)),
+                ];
+                let ev = span(name, "copy", *start, *end, pid, TID_DMA);
+                body.push(with_args(ev, args));
+                let tid = tracks.stream(*stream);
+                body.push(span(name, "copy", *start, *end, STREAMS_PID, tid));
             }
             TraceEvent::EventRecord {
                 stream,
@@ -241,47 +279,30 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
                     TraceEvent::EventRecord { .. } => "record",
                     _ => "wait",
                 };
-                let pid = device_thread(*device, TID_SYNC, &mut processes, &mut threads);
-                body.push(obj(
-                    name,
-                    "sync",
-                    "i",
-                    *at,
-                    0,
-                    pid,
-                    TID_SYNC,
-                    vec![entry("stream", u(*stream as u64)), entry("seq", u(*seq))],
-                ));
+                let pid = tracks.device(*device, TID_SYNC);
+                let args = vec![entry("stream", u(*stream as u64)), entry("seq", u(*seq))];
+                body.push(obj(name, "sync", "i", *at, 0, pid, TID_SYNC, args));
             }
             TraceEvent::GraphNodePlace {
                 node,
-                class,
+                kind,
                 device,
                 start,
                 end,
                 kernel,
             } => {
-                let (tid, name) = match class {
-                    CommandClass::Launch => (TID_COMPUTE, named(kernel, &format!("node{node}"))),
-                    CommandClass::CopyIn => (TID_DMA, format!("node{node} copy-in")),
-                    CommandClass::CopyOut => (TID_DMA, format!("node{node} copy-out")),
+                let (tid, name) = match kind {
+                    CommandKind::Launch => (TID_COMPUTE, named(kernel, &format!("node{node}"))),
+                    CommandKind::CopyIn => (TID_DMA, format!("node{node} copy-in")),
+                    _ => (TID_DMA, format!("node{node} copy-out")),
                 };
-                let pid = device_thread(*device, tid, &mut processes, &mut threads);
-                let mut ev = span(&name, "graph", *start, *end, pid, tid);
-                if let Value::Map(fields) = &mut ev {
-                    fields.pop();
-                    fields.push(entry(
-                        "args",
-                        Value::Map(vec![entry("node", u(*node as u64))]),
-                    ));
-                }
-                body.push(ev);
+                let pid = tracks.device(*device, tid);
+                let ev = span(&name, "graph", *start, *end, pid, tid);
+                body.push(with_args(ev, vec![entry("node", u(*node as u64))]));
             }
             TraceEvent::GraphReplayDone { nodes, span_cycles } => {
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 1))
-                    .or_insert_with(|| "graph".into());
+                tracks.host(1);
+                let args = vec![entry("nodes", u(*nodes as u64))];
                 body.push(obj(
                     "replay",
                     "graph",
@@ -290,49 +311,25 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
                     *span_cycles,
                     HOST_PID,
                     1,
-                    vec![entry("nodes", u(*nodes as u64))],
+                    args,
                 ));
             }
-            TraceEvent::CompileCacheHit { kernel, decoded } => {
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 0))
-                    .or_insert_with(|| "compiler".into());
-                body.push(obj(
-                    &format!("hit {}", named(kernel, "?")),
-                    "cache",
-                    "X",
-                    host_seq,
-                    1,
-                    HOST_PID,
-                    0,
-                    vec![entry("decoded", Value::Bool(*decoded))],
-                ));
-                host_seq += 1;
-            }
-            TraceEvent::CompileCacheMiss { kernel }
-            | TraceEvent::DecodeCacheHit { kernel }
-            | TraceEvent::DecodeCacheMiss { kernel } => {
-                let name = match e {
-                    TraceEvent::CompileCacheMiss { .. } => "miss",
-                    TraceEvent::DecodeCacheHit { .. } => "decode-hit",
-                    _ => "decode-miss",
+            TraceEvent::CacheQuery {
+                kernel,
+                cache,
+                hit,
+                decoded,
+            } => {
+                let (name, args) = match (cache, hit) {
+                    (CacheTier::Compile, true) => {
+                        ("hit", vec![entry("decoded", Value::Bool(*decoded))])
+                    }
+                    (CacheTier::Compile, false) => ("miss", Vec::new()),
+                    (CacheTier::Decode, true) => ("decode-hit", Vec::new()),
+                    (CacheTier::Decode, false) => ("decode-miss", Vec::new()),
                 };
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 0))
-                    .or_insert_with(|| "compiler".into());
-                body.push(obj(
-                    &format!("{name} {}", named(kernel, "?")),
-                    "cache",
-                    "X",
-                    host_seq,
-                    1,
-                    HOST_PID,
-                    0,
-                    Vec::new(),
-                ));
-                host_seq += 1;
+                let name = format!("{name} {}", named(kernel, "?"));
+                body.push(tracks.host_span(&name, "cache", args));
             }
             TraceEvent::PassRun {
                 kernel,
@@ -341,64 +338,23 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
                 insts_after,
                 changed,
             } => {
-                processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                threads
-                    .entry((HOST_PID, 0))
-                    .or_insert_with(|| "compiler".into());
-                body.push(obj(
-                    &format!("{pass} {}", named(kernel, "?")),
-                    "compiler",
-                    "X",
-                    host_seq,
-                    1,
-                    HOST_PID,
-                    0,
-                    vec![
-                        entry("insts_before", u(*insts_before as u64)),
-                        entry("insts_after", u(*insts_after as u64)),
-                        entry("changed", Value::Bool(*changed)),
-                    ],
-                ));
-                host_seq += 1;
+                let name = format!("{pass} {}", named(kernel, "?"));
+                let args = vec![
+                    entry("insts_before", u(*insts_before as u64)),
+                    entry("insts_after", u(*insts_after as u64)),
+                    entry("changed", Value::Bool(*changed)),
+                ];
+                body.push(tracks.host_span(&name, "compiler", args));
             }
-            TraceEvent::GaugeSample {
-                name,
-                label,
-                value,
-                at,
-            } => {
-                // Counter tracks ("ph":"C"): Perfetto renders one
-                // stepped timeline per (pid, name). Per-stream queue
-                // depth lives on the streams process; pool-wide gauges
-                // (outstanding commands) on the host process.
-                let (pid, tid, track) = if label.is_empty() {
-                    processes.entry(HOST_PID).or_insert_with(|| "host".into());
-                    (HOST_PID, 0, name.clone())
-                } else {
-                    processes
-                        .entry(STREAMS_PID)
-                        .or_insert_with(|| "streams".into());
-                    (STREAMS_PID, 0, format!("{name} {label}"))
-                };
-                body.push(obj(
-                    &track,
-                    "gauge",
-                    "C",
-                    *at,
-                    0,
-                    pid,
-                    tid,
-                    vec![entry("value", u(*value))],
-                ));
-            }
+            _ => {}
         }
     }
 
     // Metadata first (Perfetto reads it anywhere, humans read it here).
-    // The trace-level record carries completeness: how many events made
-    // it into the ring and how many were dropped at capacity — a trace
-    // with drops is partial and must say so.
-    out.push(obj(
+    // The trace-level record carries completeness: how many events the
+    // view covers and how many were lost — a trace with drops is partial
+    // and must say so.
+    let mut out = vec![obj(
         "trace_metadata",
         "__metadata",
         "M",
@@ -410,20 +366,13 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
             entry("events", u(events.len() as u64)),
             entry("dropped_events", u(dropped)),
         ],
-    ));
-    for (pid, name) in &processes {
-        out.push(obj(
-            "process_name",
-            "__metadata",
-            "M",
-            0,
-            0,
-            *pid,
-            0,
-            vec![entry("name", s(name))],
-        ));
+    )];
+    for (pid, name) in &tracks.processes {
+        let args = vec![entry("name", Value::Str(name.clone()))];
+        out.push(obj("process_name", "__metadata", "M", 0, 0, *pid, 0, args));
     }
-    for ((pid, tid), name) in &threads {
+    for ((pid, tid), name) in &tracks.threads {
+        let args = vec![entry("name", Value::Str(name.clone()))];
         out.push(obj(
             "thread_name",
             "__metadata",
@@ -432,7 +381,7 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
             0,
             *pid,
             *tid,
-            vec![entry("name", s(name))],
+            args,
         ));
     }
     out.extend(body);
@@ -440,7 +389,7 @@ pub fn chrome_trace_value(events: &[TraceEvent], dropped: u64) -> Value {
 }
 
 /// Render the event stream as a Chrome trace-event JSON string.
-/// `dropped` is the tracer's dropped-event count, surfaced in the
+/// `dropped` is the ring's dropped-event count, surfaced in the
 /// export's `trace_metadata` record.
 pub fn chrome_trace(events: &[TraceEvent], dropped: u64) -> String {
     serde_json::to_string(&chrome_trace_value(events, dropped)).expect("trace value serializes")
@@ -452,14 +401,7 @@ mod tests {
 
     fn sample() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::KernelLaunch {
-                stream: 0,
-                seq: 1,
-                device: 0,
-                kernel: "saxpy".into(),
-                start: 13,
-            },
-            TraceEvent::KernelRetire {
+            TraceEvent::Kernel {
                 stream: 0,
                 seq: 1,
                 device: 0,
@@ -479,11 +421,16 @@ mod tests {
             },
             TraceEvent::GraphNodePlace {
                 node: 2,
-                class: CommandClass::Launch,
+                kind: CommandKind::Launch,
                 device: 1,
                 start: 20,
                 end: 50,
                 kernel: "fused".into(),
+            },
+            TraceEvent::Batch {
+                stream: 0,
+                device: 0,
+                commands: 2,
             },
         ]
     }
@@ -492,12 +439,17 @@ mod tests {
         v.get_field(k).unwrap()
     }
 
+    fn items(v: &Value) -> &[Value] {
+        match v {
+            Value::Seq(items) => items,
+            _ => panic!("trace is a JSON array"),
+        }
+    }
+
     #[test]
     fn tracks_and_spans_are_emitted() {
         let v = chrome_trace_value(&sample(), 0);
-        let Value::Seq(items) = &v else {
-            panic!("trace is a JSON array")
-        };
+        let items = items(&v);
         // Metadata names the two device processes and the stream track.
         let meta: Vec<&Value> = items
             .iter()
@@ -520,6 +472,11 @@ mod tests {
         assert_eq!(field(kernel, "ts"), &Value::U64(13));
         assert_eq!(field(kernel, "dur"), &Value::U64(100));
         assert_eq!(field(kernel, "tid"), &Value::U64(TID_COMPUTE));
+        // ... plus its dispatch instant on the stream track.
+        assert!(items.iter().any(|i| {
+            field(i, "name") == &Value::Str("launch saxpy".into())
+                && field(i, "pid") == &Value::U64(STREAMS_PID)
+        }));
         // The copy span lands on device1/dma.
         let copy = items
             .iter()
@@ -529,19 +486,16 @@ mod tests {
             })
             .expect("copy span on device 1");
         assert_eq!(field(copy, "tid"), &Value::U64(TID_DMA));
-        // The same work also shows on the stream track.
-        assert!(items
-            .iter()
-            .any(|i| field(i, "pid") == &Value::U64(STREAMS_PID)));
+        // Bookkeeping without a span renders nothing: metadata, three
+        // kernel objects, two copy objects and one graph span.
+        let body = items.len() - meta.len();
+        assert_eq!(body, 6);
     }
 
     #[test]
     fn dropped_count_is_surfaced_in_trace_metadata() {
         let v = chrome_trace_value(&sample(), 7);
-        let Value::Seq(items) = &v else {
-            panic!("trace is a JSON array")
-        };
-        let meta = items
+        let meta = items(&v)
             .iter()
             .find(|i| field(i, "name") == &Value::Str("trace_metadata".into()))
             .expect("trace_metadata record");
@@ -557,11 +511,9 @@ mod tests {
     fn json_string_is_parseable() {
         let json = chrome_trace(&sample(), 3);
         let back: Value = ::serde_json::from_str(&json).expect("valid JSON");
-        let Value::Seq(items) = back else {
-            panic!("array")
-        };
+        let items = items(&back);
         assert!(!items.is_empty());
-        for i in &items {
+        for i in items {
             for k in ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"] {
                 assert!(i.get_field(k).is_ok(), "uniform shape: missing {k}");
             }
@@ -569,43 +521,50 @@ mod tests {
     }
 
     #[test]
-    fn gauge_samples_render_as_counter_tracks() {
+    fn enqueue_and_publish_render_as_counter_samples() {
         let ev = vec![
-            TraceEvent::GaugeSample {
-                name: "stream_queue_depth".into(),
-                label: "stream1".into(),
-                value: 3,
+            TraceEvent::Enqueue {
+                stream: 1,
+                kind: CommandKind::Launch,
+                depth: 3,
+                outstanding: 5,
                 at: 40,
             },
-            TraceEvent::GaugeSample {
-                name: "outstanding_commands".into(),
-                label: String::new(),
-                value: 5,
+            TraceEvent::Publish {
+                stream: 1,
+                device: 0,
+                commands: 1,
+                depth: 2,
+                outstanding: 4,
                 at: 41,
             },
         ];
         let v = chrome_trace_value(&ev, 0);
-        let Value::Seq(items) = &v else {
-            panic!("trace is a JSON array")
-        };
-        let counters: Vec<&Value> = items
+        let counters: Vec<&Value> = items(&v)
             .iter()
             .filter(|i| field(i, "ph") == &Value::Str("C".into()))
             .collect();
-        assert_eq!(counters.len(), 2);
+        assert_eq!(counters.len(), 4, "two samples per event");
         // Per-stream depth on the streams process, pool gauge on host.
-        let depth = counters
+        let depth: Vec<(&Value, &Value)> = counters
             .iter()
-            .find(|c| field(c, "pid") == &Value::U64(STREAMS_PID))
-            .expect("stream counter");
+            .filter(|c| field(c, "pid") == &Value::U64(STREAMS_PID))
+            .map(|c| (field(c, "ts"), field(c, "args").get_field("value").unwrap()))
+            .collect();
         assert_eq!(
-            field(depth, "name"),
-            &Value::Str("stream_queue_depth stream1".into())
+            depth,
+            vec![
+                (&Value::U64(40), &Value::U64(3)),
+                (&Value::U64(41), &Value::U64(2))
+            ]
         );
-        assert_eq!(field(depth, "ts"), &Value::U64(40));
+        assert!(counters
+            .iter()
+            .all(|c| field(c, "cat") == &Value::Str("gauge".into())));
+        let first = counters[0];
         assert_eq!(
-            field(depth, "args").get_field("value").unwrap(),
-            &Value::U64(3)
+            field(first, "name"),
+            &Value::Str("stream_queue_depth stream1".into())
         );
         let outstanding = counters
             .iter()
@@ -615,12 +574,19 @@ mod tests {
             field(outstanding, "name"),
             &Value::Str("outstanding_commands".into())
         );
+        assert_eq!(
+            field(outstanding, "args").get_field("value").unwrap(),
+            &Value::U64(5)
+        );
     }
 
     #[test]
     fn escaping_survives_hostile_names() {
-        let ev = vec![TraceEvent::CompileCacheMiss {
+        let ev = vec![TraceEvent::CacheQuery {
             kernel: "a\"b\\c\nd".into(),
+            cache: CacheTier::Compile,
+            hit: false,
+            decoded: false,
         }];
         let json = chrome_trace(&ev, 0);
         let _: Value = ::serde_json::from_str(&json).expect("escaped JSON parses");

@@ -1,31 +1,37 @@
-//! Unified tracing and profiling substrate for the simt stack.
+//! One event ring for the simt stack.
 //!
-//! Every layer of the simulator — the µop interpreter in `simt-core`,
-//! the SSA pipeline and compile cache in `simt-compiler`, the stream
-//! scheduler and graph replayer in `simt-runtime` — produces its own
-//! counters. This crate gives them one correlated event timeline:
+//! Every layer of the simulator that makes a decision worth explaining
+//! — the stream scheduler and graph replayer in `simt-runtime`, the
+//! compile cache and pass pipeline in `simt-compiler` — records it here,
+//! once:
 //!
-//! * [`TraceEvent`] — a typed, self-describing record of one thing that
-//!   happened (kernel launch/retire, copy, event record/wait, graph
-//!   node placement, compile/decode cache hit/miss, optimization pass
-//!   run). Events carry **modeled cycles only**, never host wall-clock,
-//!   so identical inputs produce byte-identical traces.
-//! * [`Tracer`] — a bounded, lock-free-append recorder the producing
-//!   layers share behind an `Arc`. Recording is a single atomic
-//!   reservation plus a slot write; when the ring is full, further
-//!   events are counted as dropped rather than blocking the hot path.
-//! * [`ProfileConfig`] — the opt-in switch. Profiling is off by
-//!   default; the disabled fast path in every instrumented layer is a
-//!   branch on a `None`.
-//! * Exporters — [`chrome::chrome_trace`] renders a Chrome
-//!   trace-event JSON string (loadable in `chrome://tracing` and
-//!   Perfetto; one track per device engine, one per stream) and
-//!   [`summary::summarize`] folds the stream into a flat serializable
-//!   [`summary::TraceSummary`] for harness tables.
+//! * [`TraceEvent`] — a typed record of one decision (enqueue, batch
+//!   claim, kernel or copy placement, event record/wait, graph node
+//!   placement, cache lookup, pass run, failure, fault, retry,
+//!   quarantine, health finding). Events carry **modeled cycles and
+//!   ids only**, never host wall-clock, so identical inputs produce
+//!   identical records.
+//! * [`Tracer`] — the bounded ring the producing layers share behind an
+//!   `Arc`. It keeps the *newest* `capacity` events: a `fetch_add`
+//!   hands out a global sequence number, and the event lands in slot
+//!   `seq % capacity` behind a per-slot mutex. The ring is always on in
+//!   a runtime (sized by `RuntimeConfig::flight_capacity`).
+//! * [`ProfileConfig`] — the opt-in *detail tier*. Without it the ring
+//!   records the compact events every decision produces anyway; with it
+//!   the producers also record pass runs and the labels that cost an
+//!   allocation (content-hash names of assembly kernels, graph-node
+//!   kernel names), and `per_pc` switches on per-PC histograms in the
+//!   µop interpreter.
+//! * Views — [`chrome::chrome_trace`] renders the ring as Chrome
+//!   trace-event JSON (loadable in `chrome://tracing` and Perfetto; one
+//!   track per device engine, one per stream), [`summary::summarize`]
+//!   folds it into a flat [`summary::TraceSummary`], and `simt-forensics`
+//!   builds flight dumps, gauge timelines and postmortems from
+//!   [`Tracer::dump`].
 //!
 //! The crate is deliberately leaf-level: it depends only on the
-//! vendored `serde`, so `simt-core`, `simt-compiler` and `simt-runtime`
-//! can all report through it without dependency cycles.
+//! vendored `serde`, so `simt-compiler` and `simt-runtime` can both
+//! record into it without dependency cycles.
 
 #![warn(missing_docs)]
 
@@ -51,85 +57,93 @@ pub mod labels {
 }
 
 use serde::{Deserialize, Serialize};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// Opt-in profiling configuration.
+/// The opt-in detail tier.
 ///
-/// Attached to a runtime (or any other event producer) to enable
-/// tracing. Absence of a `ProfileConfig` (`None`) is the disabled
-/// state; the instrumented hot paths test exactly that.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Attaching a `ProfileConfig` to a runtime makes its ring also record
+/// [`TraceEvent::PassRun`]s, content-hash labels for assembly kernels
+/// and graph-node kernel names, and makes [`Tracer::dropped`] report
+/// overwritten events (a profiled trace that lost events is partial).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileConfig {
-    /// Capacity of the event ring in events. Recording past the
-    /// capacity drops events (counted) instead of reallocating.
-    pub events: usize,
     /// Also collect per-PC cycle/issue histograms inside the µop
     /// interpreter (costs one counter update per retired µop).
     pub per_pc: bool,
 }
 
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        ProfileConfig {
-            events: 65536,
-            per_pc: false,
-        }
-    }
-}
-
 impl ProfileConfig {
-    /// Everything on: full event ring plus per-PC histograms.
+    /// Everything on: the detail tier plus per-PC histograms.
     pub fn full() -> Self {
-        ProfileConfig {
-            per_pc: true,
-            ..Default::default()
-        }
+        ProfileConfig { per_pc: true }
     }
 }
 
-/// Command class of a graph node placement (mirrors the runtime's
-/// command kinds without depending on the runtime crate).
+/// What kind of stream command a record refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommandClass {
+pub enum CommandKind {
     /// Host→device copy.
     CopyIn,
     /// Device→host copy.
     CopyOut,
     /// Kernel launch.
     Launch,
+    /// Event record.
+    EventRecord,
+    /// Event wait.
+    EventWait,
 }
 
-/// One structured trace record. Timestamps (`start`, `end`, `at`) are
-/// modeled device cycles on the scheduler's virtual timeline — never
-/// host wall-clock — so traces are deterministic.
+/// Which kernel cache a [`TraceEvent::CacheQuery`] hit or missed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum CacheTier {
+    /// The source-keyed compile cache (IR/asm → program).
+    Compile,
+    /// The per-entry predecode cache (program → µop stream).
+    Decode,
+}
+
+/// One structured record. Timestamps (`start`, `end`, `at`) are modeled
+/// device cycles on the scheduler's virtual timeline — never host
+/// wall-clock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
-    /// A kernel launch was dispatched and placed on a device compute
-    /// engine at virtual cycle `start`.
-    KernelLaunch {
+    /// A command entered a stream queue. `depth`/`outstanding` are the
+    /// post-enqueue gauge values, so the ring doubles as a gauge
+    /// timeline.
+    Enqueue {
+        /// Stream id.
+        stream: usize,
+        /// Command kind.
+        kind: CommandKind,
+        /// Queue depth of the stream after the push.
+        depth: u64,
+        /// Pool-wide outstanding commands after the push.
+        outstanding: u64,
+        /// The stream's virtual completion frontier at the push.
+        at: u64,
+    },
+    /// A worker claimed a batch of consecutive commands from a stream.
+    Batch {
+        /// Stream id the batch came from.
+        stream: usize,
+        /// Device worker that claimed it.
+        device: usize,
+        /// Commands in the batch.
+        commands: u64,
+    },
+    /// A kernel launch ran and was placed on a device compute engine.
+    Kernel {
         /// Stream the launch was submitted on.
         stream: usize,
         /// Sequence number within the stream.
         seq: u64,
-        /// Device the scheduler placed it on.
+        /// Device the least-loaded placement chose.
         device: usize,
         /// Kernel name (empty when the source carries none).
         kernel: String,
         /// Virtual start cycle on the compute engine.
-        start: u64,
-    },
-    /// A kernel launch ran to `exit`.
-    KernelRetire {
-        /// Stream the launch was submitted on.
-        stream: usize,
-        /// Sequence number within the stream.
-        seq: u64,
-        /// Device it ran on.
-        device: usize,
-        /// Kernel name (empty when the source carries none).
-        kernel: String,
-        /// Virtual start cycle.
         start: u64,
         /// Virtual end cycle (`start` + modeled kernel cycles).
         end: u64,
@@ -159,7 +173,7 @@ pub enum TraceEvent {
         stream: usize,
         /// Sequence number within the stream.
         seq: u64,
-        /// Device whose timeline carried the stream at that point.
+        /// Device worker that resolved the record.
         device: usize,
         /// Virtual cycle the event signalled at.
         at: u64,
@@ -170,7 +184,7 @@ pub enum TraceEvent {
         stream: usize,
         /// Sequence number within the stream.
         seq: u64,
-        /// Device whose timeline carried the stream at that point.
+        /// Device worker that resolved the wait.
         device: usize,
         /// Virtual cycle the wait resolved at.
         at: u64,
@@ -179,15 +193,16 @@ pub enum TraceEvent {
     GraphNodePlace {
         /// Node index within the graph.
         node: usize,
-        /// What the node does.
-        class: CommandClass,
+        /// What the node does (launch, copy-in or copy-out).
+        kind: CommandKind,
         /// Device the placement chose (least-loaded engine).
         device: usize,
         /// Virtual start cycle.
         start: u64,
         /// Virtual end cycle.
         end: u64,
-        /// Kernel name for launch nodes (empty otherwise).
+        /// Kernel name of a launch node (detail tier only; empty
+        /// otherwise).
         kernel: String,
     },
     /// A whole graph replay completed.
@@ -197,29 +212,40 @@ pub enum TraceEvent {
         /// Modeled makespan of the replay.
         span_cycles: u64,
     },
-    /// A compile-cache lookup found a cached artifact.
-    CompileCacheHit {
-        /// Kernel name, or a content-hash label for assembly sources.
+    /// A worker finished publishing a batch's results. Gauges are the
+    /// post-publish values.
+    Publish {
+        /// Stream id.
+        stream: usize,
+        /// Device worker that executed the batch.
+        device: usize,
+        /// Commands whose handles resolved.
+        commands: u64,
+        /// Queue depth of the stream after the publish.
+        depth: u64,
+        /// Pool-wide outstanding commands after the publish.
+        outstanding: u64,
+        /// The stream's virtual completion frontier after the publish.
+        at: u64,
+    },
+    /// The pool was paused (workers park; queues accumulate).
+    Pause,
+    /// The pool was resumed.
+    Resume,
+    /// A compile- or decode-cache lookup resolved.
+    CacheQuery {
+        /// Kernel name, or a content-hash label for assembly sources
+        /// (detail tier; empty otherwise).
         kernel: String,
-        /// Whether the predecoded µop form rode along with the hit.
+        /// Which cache tier.
+        cache: CacheTier,
+        /// True on hit.
+        hit: bool,
+        /// Compile-tier lookups: whether the caller asked for the
+        /// predecoded form along with the program.
         decoded: bool,
     },
-    /// A compile-cache lookup had to compile/assemble.
-    CompileCacheMiss {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-    },
-    /// A decode-cache lookup reused a cached µop decode.
-    DecodeCacheHit {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-    },
-    /// A decode-cache lookup had to re-derive the µop decode.
-    DecodeCacheMiss {
-        /// Kernel name, or a content-hash label for assembly sources.
-        kernel: String,
-    },
-    /// One optimization pass ran over a kernel.
+    /// One optimization pass ran over a kernel (detail tier).
     PassRun {
         /// Kernel name.
         kernel: String,
@@ -232,115 +258,171 @@ pub enum TraceEvent {
         /// Whether the pass changed the kernel.
         changed: bool,
     },
-    /// A gauge crossed a sampling point (queue depth after an enqueue,
-    /// outstanding commands after a publish). Exported as a Chrome
-    /// counter track (`"ph":"C"`) so Perfetto renders a timeline.
-    GaugeSample {
-        /// Metric name (see `simt_metrics::names`).
-        name: String,
-        /// Metric label (`stream{N}`, or `""` for pool-wide).
-        label: String,
-        /// Gauge value at the sample.
-        value: u64,
-        /// Virtual timestamp (modeled cycles) of the sample.
-        at: u64,
+    /// A command failed; the stream is now poisoned.
+    Failed {
+        /// Stream id.
+        stream: usize,
+        /// Command kind.
+        kind: CommandKind,
+        /// Rendered runtime error.
+        error: String,
+    },
+    /// A fault hit a command (injected by the chaos plan, or a real
+    /// watchdog timeout).
+    Fault {
+        /// Stream id.
+        stream: usize,
+        /// Device the fault was blamed on.
+        device: usize,
+        /// Attempt number that faulted (1 = first execution).
+        attempt: u32,
+        /// Fault family label (see `simt_chaos::FaultKind::label`).
+        family: String,
+        /// False for a real watchdog timeout.
+        injected: bool,
+    },
+    /// A faulted command was requeued for another attempt.
+    Retry {
+        /// Stream id.
+        stream: usize,
+        /// Device the faulted attempt was blamed on (the retry is
+        /// steered elsewhere when the pool has an alternative).
+        device: usize,
+        /// Attempt number that faulted; the retry is `attempt + 1`.
+        attempt: u32,
+        /// Modeled backoff charged to the stream's virtual timeline.
+        backoff_cycles: u64,
+    },
+    /// A device crossed its fault budget and left the placement pool.
+    Quarantine {
+        /// Device id.
+        device: usize,
+        /// Faults blamed on it at the transition.
+        faults: u64,
+    },
+    /// A device was readmitted by `Runtime::reset_device`.
+    DeviceReset {
+        /// Device id.
+        device: usize,
+    },
+    /// A health finding fired during a postmortem walk.
+    Health {
+        /// Compact finding label (see `HealthFinding::label`).
+        finding: String,
     },
 }
 
 impl TraceEvent {
-    /// Coarse category label, used by exporters and the summary:
-    /// `kernel`, `copy`, `sync`, `graph`, `cache`, `compiler` or
-    /// `gauge`.
+    /// Coarse category label, used by the views: `sched`, `kernel`,
+    /// `copy`, `sync`, `graph`, `cache`, `compiler` or `fault`.
     pub fn category(&self) -> &'static str {
         match self {
-            TraceEvent::KernelLaunch { .. } | TraceEvent::KernelRetire { .. } => "kernel",
+            TraceEvent::Enqueue { .. }
+            | TraceEvent::Batch { .. }
+            | TraceEvent::Publish { .. }
+            | TraceEvent::Pause
+            | TraceEvent::Resume => "sched",
+            TraceEvent::Kernel { .. } => "kernel",
             TraceEvent::Copy { .. } => "copy",
             TraceEvent::EventRecord { .. } | TraceEvent::EventWait { .. } => "sync",
             TraceEvent::GraphNodePlace { .. } | TraceEvent::GraphReplayDone { .. } => "graph",
-            TraceEvent::CompileCacheHit { .. }
-            | TraceEvent::CompileCacheMiss { .. }
-            | TraceEvent::DecodeCacheHit { .. }
-            | TraceEvent::DecodeCacheMiss { .. } => "cache",
+            TraceEvent::CacheQuery { .. } => "cache",
             TraceEvent::PassRun { .. } => "compiler",
-            TraceEvent::GaugeSample { .. } => "gauge",
+            TraceEvent::Failed { .. }
+            | TraceEvent::Fault { .. }
+            | TraceEvent::Retry { .. }
+            | TraceEvent::Quarantine { .. }
+            | TraceEvent::DeviceReset { .. }
+            | TraceEvent::Health { .. } => "fault",
         }
     }
 }
 
-/// One ring slot: a reservation-owned cell plus its publish flag.
-struct Slot {
-    committed: AtomicBool,
-    event: UnsafeCell<Option<TraceEvent>>,
+/// One recorded event with its global sequence number.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceRecord {
+    /// Global sequence number (total order of [`Tracer::record`] calls).
+    pub seq: u64,
+    /// The event.
+    pub event: TraceEvent,
 }
 
-/// A bounded, lock-free-append event recorder.
+/// Serializable snapshot of a [`Tracer`]: the surviving window plus how
+/// much was recorded overall.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceDump {
+    /// Total events ever recorded (≥ `events.len()`).
+    pub recorded: u64,
+    /// Ring capacity.
+    pub capacity: u64,
+    /// Surviving events, ascending by `seq`.
+    pub events: Vec<TraceRecord>,
+}
+
+/// One reusable ring slot: the event and the sequence number that
+/// claimed it (`None` until first written).
+type Slot = Mutex<Option<(u64, TraceEvent)>>;
+
+/// A bounded, wrap-around event ring that keeps the newest events.
 ///
-/// Producers call [`Tracer::record`] concurrently from any thread: a
-/// single `fetch_add` reserves a slot index, the event is written into
-/// the exclusively-owned slot, and a release store publishes it.
-/// There is no locking, no allocation and no blocking on the record
-/// path; once the ring is full, events are dropped and counted.
-///
-/// [`Tracer::events`] snapshots the committed prefix in slot order —
-/// the order reservations were handed out, i.e. global record order.
+/// [`Tracer::record`] reserves a global sequence number with a single
+/// `fetch_add` and stores the event in slot `seq % capacity` through a
+/// per-slot mutex. The mutex is uncontended in the common case: two
+/// writers only meet on one slot when one laps the other by a full
+/// ring. Recording never allocates; overwriting a slot drops the event
+/// it held. A slot only ever holds a whole record, so a lock poisoned
+/// by a panicking thread is taken over rather than propagated: the ring
+/// must never turn one failure into a second one in its observer.
 pub struct Tracer {
+    head: AtomicU64,
     slots: Box<[Slot]>,
-    head: AtomicUsize,
-    dropped: AtomicU64,
+    detail: bool,
 }
 
-// SAFETY: each `Slot.event` cell is written by exactly one thread — the
-// one whose `fetch_add` returned that index — and only read by others
-// after the `committed` release/acquire handshake.
-unsafe impl Sync for Tracer {}
-unsafe impl Send for Tracer {}
+impl std::fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tracer")
+            .field("capacity", &self.capacity())
+            .field("recorded", &self.recorded())
+            .field("detail", &self.detail)
+            .finish()
+    }
+}
 
 impl Tracer {
-    /// A tracer with room for `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                committed: AtomicBool::new(false),
-                event: UnsafeCell::new(None),
-            })
-            .collect();
+    /// A ring keeping the newest `capacity` events; `detail` switches
+    /// on the detail tier (see [`ProfileConfig`]).
+    ///
+    /// # Panics
+    /// If `capacity` is zero — a disabled ring is represented as `None`
+    /// at the call site (a branch, not an empty ring).
+    pub fn new(capacity: usize, detail: bool) -> Self {
+        assert!(capacity > 0, "event ring capacity must be non-zero");
         Tracer {
-            slots,
-            head: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
+            head: AtomicU64::new(0),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            detail,
         }
     }
 
-    /// A tracer sized by a [`ProfileConfig`].
-    pub fn from_config(cfg: &ProfileConfig) -> Self {
-        Tracer::new(cfg.events)
+    /// Record one event; returns its global sequence number.
+    pub fn record(&self, event: TraceEvent) -> u64 {
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = (seq % self.slots.len() as u64) as usize;
+        *self.slots[slot]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some((seq, event));
+        seq
     }
 
-    /// Append one event. Lock-free; drops (and counts) once full.
-    pub fn record(&self, event: TraceEvent) {
-        let i = self.head.fetch_add(1, Ordering::Relaxed);
-        match self.slots.get(i) {
-            Some(slot) => {
-                // SAFETY: the fetch_add handed index `i` to this thread
-                // alone; nobody reads the cell before `committed` flips.
-                unsafe { *slot.event.get() = Some(event) };
-                slot.committed.store(true, Ordering::Release);
-            }
-            None => {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// Whether the detail tier is on.
+    pub fn detail(&self) -> bool {
+        self.detail
     }
 
-    /// Events recorded so far (committed reservations, capped at
-    /// capacity).
-    pub fn len(&self) -> usize {
-        self.head.load(Ordering::Acquire).min(self.slots.len())
-    }
-
-    /// Whether no event has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Total events ever recorded (including overwritten ones).
+    pub fn recorded(&self) -> u64 {
+        self.head.load(Ordering::Relaxed)
     }
 
     /// Ring capacity in events.
@@ -348,37 +430,50 @@ impl Tracer {
         self.slots.len()
     }
 
-    /// Events dropped because the ring was full.
+    /// Events lost to the trace: those overwritten while the detail
+    /// tier is on, 0 otherwise. Overwriting is how the always-on ring
+    /// normally works, so an unprofiled run never reports drops.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        if self.detail {
+            self.recorded().saturating_sub(self.slots.len() as u64)
+        } else {
+            0
+        }
     }
 
-    /// Snapshot the committed events in record order. In-flight
-    /// (reserved but not yet committed) slots are skipped.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let n = self.len();
-        self.slots[..n]
+    /// The surviving window, ascending by sequence number.
+    ///
+    /// Taken concurrently with writers this is a best-effort snapshot
+    /// (a slot mid-overwrite shows its newest value); taken at quiesce
+    /// it is exactly the last `min(recorded, capacity)` events.
+    pub fn snapshot(&self) -> Vec<TraceRecord> {
+        let mut out: Vec<TraceRecord> = self
+            .slots
             .iter()
             .filter_map(|s| {
-                if s.committed.load(Ordering::Acquire) {
-                    // SAFETY: committed implies the writer's release
-                    // store happened-before this acquire load.
-                    unsafe { (*s.event.get()).clone() }
-                } else {
-                    None
-                }
+                let slot = s.lock().unwrap_or_else(PoisonError::into_inner);
+                slot.as_ref().map(|(seq, event)| TraceRecord {
+                    seq: *seq,
+                    event: event.clone(),
+                })
             })
-            .collect()
+            .collect();
+        out.sort_by_key(|r| r.seq);
+        out
     }
-}
 
-impl std::fmt::Debug for Tracer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity())
-            .field("dropped", &self.dropped())
-            .finish()
+    /// The surviving events in record order, without sequence numbers.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.snapshot().into_iter().map(|r| r.event).collect()
+    }
+
+    /// Serializable dump of the surviving window.
+    pub fn dump(&self) -> TraceDump {
+        TraceDump {
+            recorded: self.recorded(),
+            capacity: self.slots.len() as u64,
+            events: self.snapshot(),
+        }
     }
 }
 
@@ -387,8 +482,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn kernel_retire(seq: u64) -> TraceEvent {
-        TraceEvent::KernelRetire {
+    fn kernel(seq: u64) -> TraceEvent {
+        TraceEvent::Kernel {
             stream: 0,
             seq,
             device: 0,
@@ -399,40 +494,66 @@ mod tests {
         }
     }
 
+    fn enq(stream: usize, depth: u64) -> TraceEvent {
+        TraceEvent::Enqueue {
+            stream,
+            kind: CommandKind::Launch,
+            depth,
+            outstanding: depth,
+            at: 0,
+        }
+    }
+
     #[test]
     fn record_order_is_reservation_order() {
-        let t = Tracer::new(8);
+        let t = Tracer::new(8, true);
         for seq in 0..5 {
-            t.record(kernel_retire(seq));
+            assert_eq!(t.record(kernel(seq)), seq);
         }
         let ev = t.events();
         assert_eq!(ev.len(), 5);
         for (i, e) in ev.iter().enumerate() {
-            assert_eq!(e, &kernel_retire(i as u64));
+            assert_eq!(e, &kernel(i as u64));
         }
         assert_eq!(t.dropped(), 0);
     }
 
     #[test]
-    fn full_ring_drops_and_counts() {
-        let t = Tracer::new(2);
-        for seq in 0..5 {
-            t.record(kernel_retire(seq));
+    fn ring_keeps_the_newest_window() {
+        let r = Tracer::new(4, false);
+        for i in 0..10u64 {
+            r.record(enq(0, i));
         }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 3);
+        assert_eq!(r.recorded(), 10);
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), 4);
+        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![6, 7, 8, 9]);
+        assert_eq!(snap.last().unwrap().event, enq(0, 9));
+    }
+
+    #[test]
+    fn overwrites_count_as_drops_only_in_the_detail_tier() {
+        for detail in [false, true] {
+            let t = Tracer::new(2, detail);
+            for seq in 0..5 {
+                t.record(kernel(seq));
+            }
+            assert_eq!(t.recorded(), 5);
+            assert_eq!(t.events(), vec![kernel(3), kernel(4)]);
+            assert_eq!(t.dropped(), if detail { 3 } else { 0 });
+        }
     }
 
     #[test]
     fn concurrent_records_all_land() {
-        let t = Arc::new(Tracer::new(4096));
+        let t = Arc::new(Tracer::new(4096, true));
         let threads: Vec<_> = (0..4)
             .map(|id| {
                 let t = Arc::clone(&t);
                 std::thread::spawn(move || {
                     for seq in 0..512 {
-                        t.record(kernel_retire((id * 1000 + seq) as u64));
+                        t.record(kernel((id * 1000 + seq) as u64));
                     }
                 })
             })
@@ -445,9 +566,37 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_recorders_never_lose_sequence_numbers() {
+        let r = Arc::new(Tracer::new(64, false));
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let r = Arc::clone(&r);
+                std::thread::spawn(move || {
+                    for i in 0..100 {
+                        r.record(enq(t, i));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(r.recorded(), 400);
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), 64);
+        // The window is a contiguous suffix of the sequence space.
+        for w in snap.windows(2) {
+            assert_eq!(w[1].seq, w[0].seq + 1);
+        }
+        assert_eq!(snap.last().unwrap().seq, 399);
+    }
+
+    #[test]
     fn categories_cover_every_variant() {
         let cases: Vec<(TraceEvent, &str)> = vec![
-            (kernel_retire(0), "kernel"),
+            (enq(0, 1), "sched"),
+            (TraceEvent::Pause, "sched"),
+            (kernel(0), "kernel"),
             (
                 TraceEvent::Copy {
                     stream: 0,
@@ -476,7 +625,15 @@ mod tests {
                 },
                 "graph",
             ),
-            (TraceEvent::DecodeCacheMiss { kernel: "k".into() }, "cache"),
+            (
+                TraceEvent::CacheQuery {
+                    kernel: "k".into(),
+                    cache: CacheTier::Decode,
+                    hit: false,
+                    decoded: false,
+                },
+                "cache",
+            ),
             (
                 TraceEvent::PassRun {
                     kernel: "k".into(),
@@ -487,15 +644,7 @@ mod tests {
                 },
                 "compiler",
             ),
-            (
-                TraceEvent::GaugeSample {
-                    name: "stream_queue_depth".into(),
-                    label: "stream0".into(),
-                    value: 3,
-                    at: 640,
-                },
-                "gauge",
-            ),
+            (TraceEvent::DeviceReset { device: 1 }, "fault"),
         ];
         for (e, cat) in cases {
             assert_eq!(e.category(), cat);
@@ -503,10 +652,24 @@ mod tests {
     }
 
     #[test]
-    fn events_roundtrip_through_serde() {
-        let e = kernel_retire(7);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: TraceEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
+    fn dump_round_trips_through_serde() {
+        let r = Tracer::new(4, false);
+        r.record(TraceEvent::Pause);
+        r.record(TraceEvent::CacheQuery {
+            kernel: "saxpy".into(),
+            cache: CacheTier::Compile,
+            hit: false,
+            decoded: true,
+        });
+        r.record(TraceEvent::Failed {
+            stream: 1,
+            kind: CommandKind::CopyIn,
+            error: "copy out of bounds".into(),
+        });
+        r.record(kernel(7));
+        let dump = r.dump();
+        let json = serde_json::to_string(&dump).unwrap();
+        let back: TraceDump = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, dump);
     }
 }

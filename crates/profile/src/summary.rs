@@ -2,7 +2,7 @@
 //! counters, consumed by the bench harness's `tables --profile` output
 //! and handy for quick assertions in tests.
 
-use crate::TraceEvent;
+use crate::{CacheTier, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Event count for one category label.
@@ -19,11 +19,12 @@ pub struct CategoryCount {
 pub struct TraceSummary {
     /// Total events summarized.
     pub events: u64,
-    /// Events dropped by the recorder (ring full).
+    /// Events lost by the ring ([`crate::Tracer::dropped`]).
     pub dropped: u64,
     /// Kernel launches dispatched.
     pub kernel_launches: u64,
-    /// Kernel launches retired.
+    /// Kernel launches retired (every recorded launch ran to `exit`, so
+    /// this equals `kernel_launches`).
     pub kernel_retires: u64,
     /// Modeled cycles spent in retired kernels.
     pub kernel_cycles: u64,
@@ -53,7 +54,8 @@ pub struct TraceSummary {
     pub pass_runs: u64,
     /// Pass runs that changed their kernel.
     pub passes_changed: u64,
-    /// Gauge samples recorded (queue depth / outstanding counters).
+    /// Gauge samples in the Chrome view: a queue-depth and an
+    /// outstanding-commands sample per enqueue and per publish.
     pub gauge_samples: u64,
     /// Per-category event counts, sorted by category label.
     pub by_category: Vec<CategoryCount>,
@@ -75,13 +77,14 @@ pub fn summarize(events: &[TraceEvent], dropped: u64) -> TraceSummary {
             None => cats.push((cat.to_string(), 1)),
         }
         match e {
-            TraceEvent::KernelLaunch { .. } => s.kernel_launches += 1,
-            TraceEvent::KernelRetire {
+            TraceEvent::Enqueue { .. } | TraceEvent::Publish { .. } => s.gauge_samples += 2,
+            TraceEvent::Kernel {
                 start,
                 end,
                 instructions,
                 ..
             } => {
+                s.kernel_launches += 1;
                 s.kernel_retires += 1;
                 s.kernel_cycles += end.saturating_sub(*start);
                 s.instructions += instructions;
@@ -98,17 +101,19 @@ pub fn summarize(events: &[TraceEvent], dropped: u64) -> TraceSummary {
             }
             TraceEvent::GraphNodePlace { .. } => s.graph_nodes += 1,
             TraceEvent::GraphReplayDone { .. } => s.graph_replays += 1,
-            TraceEvent::CompileCacheHit { .. } => s.compile_hits += 1,
-            TraceEvent::CompileCacheMiss { .. } => s.compile_misses += 1,
-            TraceEvent::DecodeCacheHit { .. } => s.decode_hits += 1,
-            TraceEvent::DecodeCacheMiss { .. } => s.decode_misses += 1,
+            TraceEvent::CacheQuery { cache, hit, .. } => match (cache, hit) {
+                (CacheTier::Compile, true) => s.compile_hits += 1,
+                (CacheTier::Compile, false) => s.compile_misses += 1,
+                (CacheTier::Decode, true) => s.decode_hits += 1,
+                (CacheTier::Decode, false) => s.decode_misses += 1,
+            },
             TraceEvent::PassRun { changed, .. } => {
                 s.pass_runs += 1;
                 if *changed {
                     s.passes_changed += 1;
                 }
             }
-            TraceEvent::GaugeSample { .. } => s.gauge_samples += 1,
+            _ => {}
         }
     }
     cats.sort();
@@ -126,14 +131,14 @@ mod tests {
     #[test]
     fn summary_counts_by_kind_and_category() {
         let events = vec![
-            TraceEvent::KernelLaunch {
+            TraceEvent::Enqueue {
                 stream: 0,
-                seq: 1,
-                device: 0,
-                kernel: "k".into(),
-                start: 0,
+                kind: crate::CommandKind::Launch,
+                depth: 1,
+                outstanding: 1,
+                at: 0,
             },
-            TraceEvent::KernelRetire {
+            TraceEvent::Kernel {
                 stream: 0,
                 seq: 1,
                 device: 0,
@@ -151,7 +156,12 @@ mod tests {
                 start: 0,
                 end: 16,
             },
-            TraceEvent::CompileCacheMiss { kernel: "k".into() },
+            TraceEvent::CacheQuery {
+                kernel: "k".into(),
+                cache: CacheTier::Compile,
+                hit: false,
+                decoded: false,
+            },
             TraceEvent::PassRun {
                 kernel: "k".into(),
                 pass: "dce".into(),
@@ -163,6 +173,7 @@ mod tests {
         let s = summarize(&events, 2);
         assert_eq!(s.events, 5);
         assert_eq!(s.dropped, 2);
+        assert_eq!(s.gauge_samples, 2);
         assert_eq!(s.kernel_launches, 1);
         assert_eq!(s.kernel_retires, 1);
         assert_eq!(s.kernel_cycles, 50);
@@ -177,7 +188,13 @@ mod tests {
             .collect();
         assert_eq!(
             cats,
-            vec![("cache", 1), ("compiler", 1), ("copy", 1), ("kernel", 2)]
+            vec![
+                ("cache", 1),
+                ("compiler", 1),
+                ("copy", 1),
+                ("kernel", 1),
+                ("sched", 1)
+            ]
         );
         // Round-trips through JSON for the harness.
         let json = serde_json::to_string(&s).unwrap();

@@ -29,7 +29,7 @@ use crate::stats::CommandKind;
 use crate::{pool, Runtime, RuntimeError};
 use simt_core::{DecodedProgram, ExecStats};
 use simt_graph::{ExecGraph, GraphOp, NodeId};
-use simt_profile::{CommandClass, TraceEvent};
+use simt_profile::TraceEvent;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -266,25 +266,18 @@ impl Runtime {
             );
             ends.insert(id, end);
             span = (span.0.min(start), span.1.max(end));
-            if self.shared.tracer.is_some() {
-                let class = match kind {
-                    CommandKind::Launch => CommandClass::Launch,
-                    CommandKind::CopyIn => CommandClass::CopyIn,
-                    _ => CommandClass::CopyOut,
-                };
-                let kernel = match &node.op {
-                    GraphOp::Launch(spec) => spec.name.clone(),
-                    _ => String::new(),
-                };
-                self.shared.emit(TraceEvent::GraphNodePlace {
-                    node: id.index(),
-                    class,
-                    device: placed,
-                    start,
-                    end,
-                    kernel,
-                });
-            }
+            let kernel = match &node.op {
+                GraphOp::Launch(spec) if self.shared.detail() => spec.name.clone(),
+                _ => String::new(),
+            };
+            self.shared.record(TraceEvent::GraphNodePlace {
+                node: id.index(),
+                kind,
+                device: placed,
+                start,
+                end,
+                kernel,
+            });
             replay.placements.push(NodePlacement {
                 node: id,
                 kind,
@@ -297,7 +290,7 @@ impl Runtime {
         if let Some(m) = &self.shared.metrics {
             m.record_graph_span(replay.span_cycles);
         }
-        self.shared.emit(TraceEvent::GraphReplayDone {
+        self.shared.record(TraceEvent::GraphReplayDone {
             nodes: replay.placements.len(),
             span_cycles: replay.span_cycles,
         });

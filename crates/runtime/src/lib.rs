@@ -79,17 +79,18 @@ pub use stream::{CopyHandle, LaunchHandle, Stream};
 // The graph vocabulary, so runtime users need no extra import to
 // capture, fuse and replay.
 pub use simt_graph::{fuse, ExecGraph, FusionReport, GraphBuilder, GraphError, NodeId};
-// The profiling vocabulary likewise: configure with ProfileConfig,
-// read the timeline back as TraceEvents through Runtime::tracer.
-pub use simt_profile::{ProfileConfig, TraceEvent, Tracer};
+// The event vocabulary likewise: every scheduler, graph and cache
+// decision lands once in the ring behind Runtime::tracer; ProfileConfig
+// switches on its detail tier.
+pub use simt_profile::{CacheTier, ProfileConfig, TraceDump, TraceEvent, TraceRecord, Tracer};
 // And the metrics vocabulary: snapshot with Runtime::metrics_snapshot,
 // watch with Runtime::health, export via simt_metrics::prometheus.
 pub use simt_metrics::{HealthConfig, HealthFinding, HealthMonitor, HealthReport, MetricsSnapshot};
-// And the forensics vocabulary: the always-on flight recorder behind
-// Runtime::flight, postmortem bundles from Runtime::postmortem.
+// And the forensics vocabulary: postmortem bundles from
+// Runtime::postmortem, gauge timelines over the ring's window.
 pub use simt_forensics::{
-    gauge_timelines, FlightDump, FlightEvent, FlightKind, FlightRecord, FlightRecorder,
-    GaugeTimeline, KernelHotspots, PcHotspot, PostmortemReport, POSTMORTEM_SCHEMA_VERSION,
+    gauge_timelines, GaugeTimeline, KernelHotspots, PcHotspot, PostmortemReport,
+    POSTMORTEM_SCHEMA_VERSION,
 };
 // And the chaos vocabulary: configure with RuntimeConfig::with_chaos /
 // with_recovery, observe through Runtime::device_health and the typed
@@ -286,15 +287,11 @@ impl Runtime {
             Some(cap) => CompileCache::with_capacity(cap),
             None => CompileCache::new(),
         };
-        // The profiler's tracer lives on the scheduler; the compile
-        // cache reports its hits/misses/passes into the same timeline.
+        // The event ring lives on the scheduler; the compile cache
+        // records its lookups (and, in the detail tier, its pass runs)
+        // into the same ring.
         if let Some(t) = &shared.tracer {
             compile_cache = compile_cache.with_tracer(Arc::clone(t));
-        }
-        // The flight recorder likewise: cache outcomes land in the
-        // always-on forensics window.
-        if let Some(f) = &shared.flight {
-            compile_cache = compile_cache.with_flight(Arc::clone(f));
         }
         let compile_cache = Arc::new(compile_cache);
         let pc_sink = cfg
@@ -435,11 +432,13 @@ impl Runtime {
         stats
     }
 
-    /// The structured-event tracer, when the runtime was built with a
-    /// [`ProfileConfig`] (`None` otherwise). Snapshot its timeline with
-    /// [`Tracer::events`] and export it with
-    /// [`simt_profile::chrome::chrome_trace`] or
-    /// [`simt_profile::summary::summarize`].
+    /// The always-on event ring (`None` iff the runtime was built with
+    /// [`RuntimeConfig::with_flight_capacity`]`(0)`). Its detail tier is
+    /// on iff the runtime was built with a [`ProfileConfig`]. Snapshot
+    /// it with [`Tracer::events`] or [`Tracer::dump`] and view it with
+    /// [`simt_profile::chrome::chrome_trace`],
+    /// [`simt_profile::summary::summarize`], [`gauge_timelines`] or
+    /// [`Runtime::postmortem`].
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.shared.tracer.as_ref()
     }
@@ -505,39 +504,32 @@ impl Runtime {
         self.metrics_snapshot().map(|snap| monitor.check(&snap))
     }
 
-    /// The always-on flight recorder (`None` iff the runtime was built
-    /// with [`RuntimeConfig::with_flight_capacity`]`(0)`). Dump its
-    /// surviving window with [`FlightRecorder::dump`]; postmortems
-    /// bundle it automatically.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.shared.flight.as_ref()
-    }
-
     /// Assemble a deterministic [`PostmortemReport`]: the health walk,
-    /// the full metrics snapshot, the flight recorder's surviving
-    /// window, gauge timelines derived from it, and — when the runtime
+    /// the full metrics snapshot, the event ring's surviving window
+    /// (the flight dump), gauge timelines derived from it, and — when
+    /// the runtime
     /// was built with [`ProfileConfig::per_pc`] — per-PC hotspots with
     /// disassembly and IR source-map attribution for every profiled
     /// kernel.
     ///
     /// Health findings observed during assembly are also recorded into
-    /// the flight window (as [`FlightEvent::Health`]) so the dump shows
-    /// *when* the watchdog spoke relative to scheduler activity.
+    /// the ring (as [`TraceEvent::Health`]) so the dump shows *when* the
+    /// watchdog spoke relative to scheduler activity.
     /// Returns `None` iff metrics are off (a postmortem without a
     /// snapshot names nothing).
     pub fn postmortem(&self, reason: &str) -> Option<PostmortemReport> {
         let metrics = self.metrics_snapshot()?;
         let health = HealthMonitor::new(self.config().health.clone()).check(&metrics);
-        if let Some(f) = &self.shared.flight {
-            for finding in &health.findings {
-                f.record(FlightEvent::Health {
-                    finding: finding.label(),
-                });
+        let flight = match &self.shared.tracer {
+            Some(t) => {
+                for finding in &health.findings {
+                    t.record(TraceEvent::Health {
+                        finding: finding.label(),
+                    });
+                }
+                t.dump()
             }
-        }
-        let flight = match &self.shared.flight {
-            Some(f) => f.dump(),
-            None => FlightDump {
+            None => TraceDump {
                 recorded: 0,
                 capacity: 0,
                 events: Vec::new(),

@@ -84,21 +84,20 @@ pub struct RuntimeConfig {
     /// programs must not grow the cache without limit; evictions are
     /// counted in [`crate::RuntimeStats::compile_evictions`].
     pub compile_cache_capacity: Option<usize>,
-    /// Opt-in tracing/profiling (`None` = disabled, the default; the
-    /// instrumented hot paths then cost one branch on a `None`). See
-    /// [`simt_profile::ProfileConfig`].
+    /// Opt-in detail tier of the event ring and per-PC profiling
+    /// (`None` = off, the default). See [`simt_profile::ProfileConfig`].
     pub profile: Option<ProfileConfig>,
     /// Always-on pool metrics (counters, watermark gauges, modeled-cycle
     /// latency histograms — `simt-metrics`). On by default: the record
     /// path is a few relaxed atomics per *retired command*, not per
     /// instruction. The off switch exists so the disabled-path cost can
-    /// be measured (`BENCH_sim.json:metrics_overhead`).
+    /// be measured (hostbench's observers-off arm).
     pub metrics: bool,
-    /// Flight-recorder window: the newest this-many scheduler events
-    /// are always retained for postmortems (`simt-forensics`). `0`
-    /// disables the recorder entirely — like `metrics`, the off switch
-    /// exists to measure the disabled path
-    /// (`BENCH_sim.json:forensics_overhead`).
+    /// Capacity of the always-on event ring: the newest this-many
+    /// scheduler, graph and cache decisions are retained for traces,
+    /// flight dumps and postmortems. `0` disables the ring entirely —
+    /// like `metrics`, the off switch exists to measure the disabled
+    /// path.
     pub flight_capacity: usize,
     /// Health-watchdog thresholds used by [`crate::Runtime::health`]
     /// and postmortems. Defaults preserve the watchdog's stock
@@ -144,7 +143,8 @@ impl RuntimeConfig {
         }
     }
 
-    /// Enable tracing/profiling with `profile`.
+    /// Switch on the event ring's detail tier (and per-PC profiling
+    /// with [`ProfileConfig::per_pc`]).
     pub fn with_profile(mut self, profile: ProfileConfig) -> Self {
         self.profile = Some(profile);
         self
@@ -157,7 +157,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the flight-recorder window (`0` disables it; only for
+    /// Set the event-ring capacity (`0` disables the ring; only for
     /// measuring the disabled-path cost).
     pub fn with_flight_capacity(mut self, flight_capacity: usize) -> Self {
         self.flight_capacity = flight_capacity;

@@ -26,6 +26,9 @@
 //! edges, plus cross-stream edges through captured events) instead of
 //! executing, and graph replay places its nodes through the same
 //! least-loaded rule via `Shared::place_graph_command`.
+//!
+//! Every scheduler decision is recorded once, into the pool's event
+//! ring ([`simt_profile::Tracer`], `Shared::record`).
 
 use crate::pool::{self, Device, RuntimeConfig};
 use crate::stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
@@ -34,7 +37,6 @@ use crate::RuntimeError;
 use simt_chaos::{DeviceHealth, FaultKind, FaultPlan, PlannedFault};
 use simt_compiler::CompileCache;
 use simt_core::ExecStats;
-use simt_forensics::{FlightEvent, FlightKind, FlightRecorder};
 use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
 use simt_metrics::{names as metric, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use simt_profile::{labels, TraceEvent, Tracer};
@@ -260,16 +262,15 @@ pub(crate) struct Shared {
     /// `synchronize` waits here for quiescence.
     idle: Condvar,
     pub(crate) shutdown: AtomicBool,
-    /// Structured-event recorder (`Some` iff the pool was configured
-    /// with a [`simt_profile::ProfileConfig`]).
+    /// The always-on event ring (`Some` unless
+    /// [`RuntimeConfig::flight_capacity`] is zero — the off switch
+    /// exists only to measure the disabled path). Its detail tier is on
+    /// iff the pool was configured with a
+    /// [`simt_profile::ProfileConfig`].
     pub(crate) tracer: Option<Arc<Tracer>>,
     /// Always-on pool metrics (`Some` unless [`RuntimeConfig::metrics`]
     /// was switched off to measure the disabled path).
     pub(crate) metrics: Option<PoolMetrics>,
-    /// Always-on flight recorder (`Some` unless
-    /// [`RuntimeConfig::flight_capacity`] is zero — the off switch
-    /// exists only to measure the disabled path).
-    pub(crate) flight: Option<Arc<FlightRecorder>>,
     /// Compiled fault-injection oracle (`Some` iff the pool was
     /// configured with [`RuntimeConfig::with_chaos`]).
     plan: Option<FaultPlan>,
@@ -304,8 +305,9 @@ enum Done {
         cache_hit: bool,
         compile_hit: bool,
         wall: Duration,
-        /// Kernel name for trace events and kernel-labeled latency
-        /// histograms (cloned only when tracing or metrics will read it).
+        /// Kernel name for the ring's kernel record and kernel-labeled
+        /// latency histograms (cloned only when one of them will read
+        /// it).
         kernel: String,
         sink: Arc<crate::stream::Slot<Result<ExecStats, RuntimeError>>>,
         /// This success is a recovery from an earlier fault.
@@ -346,12 +348,8 @@ impl Shared {
     pub(crate) fn new(cfg: RuntimeConfig) -> Self {
         let d = cfg.devices;
         let cfg_metrics = cfg.metrics;
-        let tracer = cfg
-            .profile
-            .as_ref()
-            .map(|p| Arc::new(Tracer::from_config(p)));
-        let flight =
-            (cfg.flight_capacity > 0).then(|| Arc::new(FlightRecorder::new(cfg.flight_capacity)));
+        let tracer = (cfg.flight_capacity > 0)
+            .then(|| Arc::new(Tracer::new(cfg.flight_capacity, cfg.profile.is_some())));
         let plan = cfg.chaos.as_ref().map(FaultPlan::new);
         Shared {
             cfg,
@@ -383,27 +381,24 @@ impl Shared {
             } else {
                 None
             },
-            flight,
             plan,
             started: Instant::now(),
         }
     }
 
-    /// Record `event` when tracing is on (one branch on `None` when
-    /// off).
-    pub(crate) fn emit(&self, event: TraceEvent) {
+    /// Record one decision into the event ring (one branch on `None`
+    /// when the ring is off; eager `event` construction stays cheap —
+    /// ids, cycles and already-computed gauge values; sites whose event
+    /// would allocate check [`Shared::tracer`] first).
+    pub(crate) fn record(&self, event: TraceEvent) {
         if let Some(t) = &self.tracer {
             t.record(event);
         }
     }
 
-    /// Record a flight event (one branch on `None` when the recorder is
-    /// disabled; eager `event` construction stays cheap — ids and
-    /// already-computed gauge values).
-    pub(crate) fn note(&self, event: FlightEvent) {
-        if let Some(f) = &self.flight {
-            f.record(event);
-        }
+    /// Whether the ring's detail tier is on.
+    pub(crate) fn detail(&self) -> bool {
+        self.tracer.as_ref().is_some_and(|t| t.detail())
     }
 
     /// Wake every sleeping worker and waiter (shutdown path).
@@ -447,14 +442,14 @@ impl Shared {
     pub(crate) fn pause(&self) {
         let mut state = self.state.lock().unwrap();
         state.paused = true;
-        self.note(FlightEvent::Pause);
+        self.record(TraceEvent::Pause);
     }
 
     /// Release paused workers.
     pub(crate) fn resume(&self) {
         let mut state = self.state.lock().unwrap();
         state.paused = false;
-        self.note(FlightEvent::Resume);
+        self.record(TraceEvent::Resume);
         drop(state);
         self.work.notify_all();
     }
@@ -632,39 +627,15 @@ impl Shared {
                 m.outstanding.set(state.outstanding as u64);
             }
         }
-        if self.flight.is_some() || self.tracer.is_some() {
-            let depth = state.streams[stream].queue.len() as u64;
-            let outstanding = state.outstanding as u64;
-            self.note(FlightEvent::Enqueue {
-                stream,
-                kind: flight_kind(kind),
-                depth,
-                outstanding,
-            });
-            self.gauge_samples(stream, state.streams[stream].vdone, depth, outstanding);
-        }
+        let st = &state.streams[stream];
+        self.record(TraceEvent::Enqueue {
+            stream,
+            kind,
+            depth: st.queue.len() as u64,
+            outstanding: state.outstanding as u64,
+            at: st.vdone,
+        });
         self.work.notify_all();
-    }
-
-    /// Emit queue-depth / outstanding counter samples onto the trace
-    /// timeline (tracing only; callers pre-check so the default path
-    /// pays nothing).
-    fn gauge_samples(&self, stream: usize, at: u64, depth: u64, outstanding: u64) {
-        if self.tracer.is_none() {
-            return;
-        }
-        self.emit(TraceEvent::GaugeSample {
-            name: metric::QUEUE_DEPTH.to_string(),
-            label: labels::stream(stream),
-            value: depth,
-            at,
-        });
-        self.emit(TraceEvent::GaugeSample {
-            name: metric::OUTSTANDING.to_string(),
-            label: String::new(),
-            value: outstanding,
-            at,
-        });
     }
 
     /// Block until no command is queued or in flight; surfaces the first
@@ -755,7 +726,7 @@ impl Shared {
         snap.push_counter(
             metric::TRACER_DROPPED,
             "",
-            self.tracer.as_ref().map(|t| t.dropped()).unwrap_or(0),
+            self.tracer.as_ref().map_or(0, |t| t.dropped()),
         );
         snap.sort();
         Some(snap)
@@ -812,7 +783,7 @@ impl Shared {
         {
             state.sticky_disabled = true;
         }
-        self.note(FlightEvent::DeviceReset { device });
+        self.record(TraceEvent::DeviceReset { device });
     }
 
     /// Current per-device health states.
@@ -831,7 +802,8 @@ impl Shared {
     /// matching kind (the same dispatch rule stream commands use) and
     /// merge it into the placement device's accounting. Every replayed
     /// launch counts as a compile hit: it runs the program bound at
-    /// instantiation. Returns `(device, start, end)` in virtual cycles.
+    /// instantiation. Returns `(device, start, end)` in virtual cycles;
+    /// the caller records the placement.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn place_graph_command(
         &self,
@@ -886,12 +858,6 @@ impl Shared {
                 _ => m.record_copy(p, cycles),
             }
         }
-        self.note(FlightEvent::GraphPlace {
-            kind: flight_kind(kind),
-            device: p,
-            start,
-            end,
-        });
         (p, start, end)
     }
 
@@ -947,13 +913,13 @@ impl Shared {
                         end: at,
                     });
                     match kind {
-                        CommandKind::EventRecord => self.emit(TraceEvent::EventRecord {
+                        CommandKind::EventRecord => self.record(TraceEvent::EventRecord {
                             stream: sid,
                             seq,
                             device: d,
                             at,
                         }),
-                        CommandKind::EventWait => self.emit(TraceEvent::EventWait {
+                        CommandKind::EventWait => self.record(TraceEvent::EventWait {
                             stream: sid,
                             seq,
                             device: d,
@@ -1017,7 +983,7 @@ impl Shared {
                     }
                     st.busy = true;
                     state.scan_from[d] = sid + 1;
-                    self.note(FlightEvent::Batch {
+                    self.record(TraceEvent::Batch {
                         stream: sid,
                         device: d,
                         commands: batch.len() as u64,
@@ -1110,19 +1076,12 @@ impl Shared {
                             sm.copy_cycles.record(cycles);
                         }
                     }
-                    self.emit(TraceEvent::Copy {
+                    self.record(TraceEvent::Copy {
                         stream: sid,
                         seq,
                         device: p,
                         to_device: matches!(kind, CommandKind::CopyIn),
                         words,
-                        start,
-                        end,
-                    });
-                    self.note(FlightEvent::Place {
-                        stream: sid,
-                        kind: flight_kind(kind),
-                        device: p,
                         start,
                         end,
                     });
@@ -1193,30 +1152,14 @@ impl Shared {
                             sm.launch_cycles.record(cycles);
                         }
                     }
-                    if self.tracer.is_some() {
-                        self.emit(TraceEvent::KernelLaunch {
-                            stream: sid,
-                            seq,
-                            device: p,
-                            kernel: kernel.clone(),
-                            start,
-                        });
-                        self.emit(TraceEvent::KernelRetire {
-                            stream: sid,
-                            seq,
-                            device: p,
-                            kernel,
-                            start,
-                            end,
-                            instructions: stats.instructions,
-                        });
-                    }
-                    self.note(FlightEvent::Place {
+                    self.record(TraceEvent::Kernel {
                         stream: sid,
-                        kind: FlightKind::Launch,
+                        seq,
                         device: p,
+                        kernel,
                         start,
                         end,
+                        instructions: stats.instructions,
                     });
                     sink.set(Ok(stats));
                 }
@@ -1228,13 +1171,13 @@ impl Shared {
                 } => {
                     resolved += 1;
                     let vdone = state.streams[sid].vdone;
-                    // Record the flight event before resolving the
-                    // handle: a waiter that wakes on the error and
-                    // immediately dumps the recorder must see it.
-                    if self.flight.is_some() {
-                        self.note(FlightEvent::Failed {
+                    // Record the failure before resolving the handle: a
+                    // waiter that wakes on the error and immediately
+                    // dumps the ring must see it.
+                    if self.tracer.is_some() {
+                        self.record(TraceEvent::Failed {
                             stream: sid,
-                            kind: flight_kind(kind),
+                            kind,
                             error: error.to_string(),
                         });
                     }
@@ -1293,7 +1236,7 @@ impl Shared {
                             if let Some(m) = &self.metrics {
                                 m.quarantines.inc();
                             }
-                            self.note(FlightEvent::Quarantine { device, faults });
+                            self.record(TraceEvent::Quarantine { device, faults });
                         }
                     }
                     if let Some(m) = &self.metrics {
@@ -1307,7 +1250,7 @@ impl Shared {
                         }
                     }
                     let attempt = pending.attempt + 1;
-                    self.note(FlightEvent::Fault {
+                    self.record(TraceEvent::Fault {
                         stream: sid,
                         device,
                         attempt,
@@ -1328,7 +1271,7 @@ impl Shared {
                                 m.failovers.inc();
                             }
                         }
-                        self.note(FlightEvent::Retry {
+                        self.record(TraceEvent::Retry {
                             stream: sid,
                             device,
                             attempt,
@@ -1351,10 +1294,10 @@ impl Shared {
                         }
                         let vdone = state.streams[sid].vdone;
                         let cmd_kind = pending.cmd.kind();
-                        if self.flight.is_some() {
-                            self.note(FlightEvent::Failed {
+                        if self.tracer.is_some() {
+                            self.record(TraceEvent::Failed {
                                 stream: sid,
-                                kind: flight_kind(cmd_kind),
+                                kind: cmd_kind,
                                 error: error.to_string(),
                             });
                         }
@@ -1419,33 +1362,19 @@ impl Shared {
                 sm.depth.set(depth);
             }
         }
-        if self.flight.is_some() || self.tracer.is_some() {
-            let depth = state.streams[sid].queue.len() as u64;
-            let outstanding = state.outstanding as u64;
-            self.note(FlightEvent::Publish {
-                stream: sid,
-                device: d,
-                commands: resolved as u64,
-                depth,
-                outstanding,
-            });
-            self.gauge_samples(sid, state.streams[sid].vdone, depth, outstanding);
-        }
+        let st = &state.streams[sid];
+        self.record(TraceEvent::Publish {
+            stream: sid,
+            device: d,
+            commands: resolved as u64,
+            depth: st.queue.len() as u64,
+            outstanding: state.outstanding as u64,
+            at: st.vdone,
+        });
         state.streams[sid].buffer = Some(buffer);
         state.streams[sid].busy = false;
         self.work.notify_all();
         self.idle.notify_all();
-    }
-}
-
-/// Map a scheduler command kind onto the flight-recorder vocabulary.
-pub(crate) fn flight_kind(kind: CommandKind) -> FlightKind {
-    match kind {
-        CommandKind::CopyIn => FlightKind::CopyIn,
-        CommandKind::CopyOut => FlightKind::CopyOut,
-        CommandKind::Launch => FlightKind::Launch,
-        CommandKind::EventRecord => FlightKind::EventRecord,
-        CommandKind::EventWait => FlightKind::EventWait,
     }
 }
 

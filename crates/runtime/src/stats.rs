@@ -1,24 +1,12 @@
 //! Runtime accounting: per-stream and per-device cycle and wall-clock
 //! statistics, built on the core's [`ExecStats`] machinery.
 
-use serde::{Deserialize, Serialize};
 use simt_core::ExecStats;
 use std::time::Duration;
 
-/// What kind of command a completion record refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommandKind {
-    /// Host→device copy.
-    CopyIn,
-    /// Device→host copy.
-    CopyOut,
-    /// Kernel launch.
-    Launch,
-    /// Event record.
-    EventRecord,
-    /// Event wait.
-    EventWait,
-}
+/// What kind of command a completion record refers to (the event
+/// ring's vocabulary, shared with every trace record).
+pub use simt_profile::CommandKind;
 
 /// One completed command, in global completion order — the scheduler's
 /// observable trace (ordering assertions in tests key off this).

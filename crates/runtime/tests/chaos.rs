@@ -7,8 +7,8 @@ use simt_kernels::workload::int_vector;
 use simt_kernels::LaunchSpec;
 use simt_metrics::names;
 use simt_runtime::{
-    ChaosConfig, DeviceHealth, FlightEvent, GraphBuilder, RecoveryConfig, Runtime, RuntimeConfig,
-    RuntimeError, Stream,
+    ChaosConfig, DeviceHealth, GraphBuilder, RecoveryConfig, Runtime, RuntimeConfig, RuntimeError,
+    Stream, TraceEvent,
 };
 
 /// Submit `n` saxpy jobs (copy-in inputs, launch, copy-out result) on
@@ -230,7 +230,7 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
         .flight
         .events
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Quarantine { device: 1, .. })));
+        .any(|r| matches!(r.event, TraceEvent::Quarantine { device: 1, .. })));
 
     // All placement now avoids the quarantined device: stream commands...
     let s2 = rt.stream();
@@ -277,12 +277,12 @@ fn sticky_device_failure_quarantines_within_the_fault_budget() {
         "the reset cleared the fault counter and nothing re-faulted"
     );
     assert!(rt
-        .flight()
+        .tracer()
         .unwrap()
         .dump()
         .events
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::DeviceReset { device: 1 })));
+        .any(|r| matches!(r.event, TraceEvent::DeviceReset { device: 1 })));
 }
 
 #[test]

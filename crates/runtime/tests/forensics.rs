@@ -1,14 +1,17 @@
-//! Forensics integration: flight-recorder determinism, postmortem
-//! bundles, configurable health thresholds, and cache counters in the
-//! always-on metrics snapshot.
+//! Forensics integration: event-ring determinism, postmortem bundles,
+//! agreement between the ring's views, the drop counter's meaning,
+//! configurable health thresholds, and cache counters in the always-on
+//! metrics snapshot.
 
 use proptest::prelude::*;
+use serde::Value;
 use simt_kernels::workload::int_vector;
 use simt_kernels::LaunchSpec;
 use simt_metrics::names;
+use simt_profile::{chrome, summary::summarize};
 use simt_runtime::{
-    FlightEvent, FlightKind, HealthConfig, HealthFinding, HealthMonitor, ProfileConfig, Runtime,
-    RuntimeConfig,
+    CommandKind, GraphBuilder, HealthConfig, HealthFinding, HealthMonitor, ProfileConfig, Runtime,
+    RuntimeConfig, TraceEvent,
 };
 
 /// One deterministic run: a single device and a backlog built under
@@ -31,8 +34,8 @@ fn forensic_run(launches: usize, scale: i32) -> (String, String) {
     }
     rt.resume();
     rt.synchronize().unwrap();
-    let flight = rt.flight().expect("flight recorder is on by default");
-    let dump = serde_json::to_string(&flight.dump()).unwrap();
+    let ring = rt.tracer().expect("the event ring is on by default");
+    let dump = serde_json::to_string(&ring.dump()).unwrap();
     let report = rt
         .postmortem("proptest")
         .expect("metrics are on by default");
@@ -103,26 +106,26 @@ fn injected_stall_postmortem_names_the_device_and_its_hottest_pc() {
     let ev = &report.flight.events;
     assert!(ev.iter().any(|r| matches!(
         &r.event,
-        FlightEvent::Health { finding } if finding == "device_stall(device1)"
+        TraceEvent::Health { finding } if finding == "device_stall(device1)"
     )));
     // ... which contains the full scheduler story of the run.
-    assert!(ev.iter().any(|r| matches!(r.event, FlightEvent::Pause)));
-    assert!(ev.iter().any(|r| matches!(r.event, FlightEvent::Resume)));
+    assert!(ev.iter().any(|r| matches!(r.event, TraceEvent::Pause)));
+    assert!(ev.iter().any(|r| matches!(r.event, TraceEvent::Resume)));
     assert!(ev
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Enqueue { .. })));
+        .any(|r| matches!(r.event, TraceEvent::Enqueue { .. })));
     assert!(ev
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Batch { .. })));
+        .any(|r| matches!(r.event, TraceEvent::Batch { .. })));
     assert!(ev
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Place { .. })));
+        .any(|r| matches!(r.event, TraceEvent::Kernel { .. })));
     assert!(ev
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::Publish { .. })));
+        .any(|r| matches!(r.event, TraceEvent::Publish { .. })));
     assert!(ev
         .iter()
-        .any(|r| matches!(r.event, FlightEvent::CacheQuery { .. })));
+        .any(|r| matches!(r.event, TraceEvent::CacheQuery { .. })));
     assert!(!report.timelines.is_empty());
 
     // Per-PC hotspots (per_pc profiling was on) name the kernel's
@@ -151,7 +154,7 @@ fn injected_stall_postmortem_names_the_device_and_its_hottest_pc() {
 #[test]
 fn flight_capacity_zero_disables_the_recorder_but_not_postmortems() {
     let rt = Runtime::new(RuntimeConfig::default().with_flight_capacity(0));
-    assert!(rt.flight().is_none());
+    assert!(rt.tracer().is_none());
     let s = rt.stream();
     s.launch(LaunchSpec::sum(&int_vector(64, 1)));
     rt.synchronize().unwrap();
@@ -173,11 +176,134 @@ fn failed_commands_land_in_the_flight_window() {
     bad.source = simt_kernels::KernelSource::Asm("  frob r1\n  exit".into());
     let h = s.launch(bad);
     assert!(h.wait().is_err());
-    let dump = rt.flight().expect("flight recorder on by default").dump();
+    let dump = rt.tracer().expect("the event ring is on by default").dump();
     assert!(dump.events.iter().any(|r| matches!(
         &r.event,
-        FlightEvent::Failed { kind: FlightKind::Launch, error, .. } if error.contains("assembly")
+        TraceEvent::Failed { kind: CommandKind::Launch, error, .. } if error.contains("assembly")
     )));
+}
+
+#[test]
+fn postmortem_launches_match_chrome_compute_spans() {
+    // Both views read the one ring: every launch the postmortem's
+    // flight window shows must be a compute span of the Chrome trace
+    // rendered from the same ring, on the same device and cycles.
+    let rt = Runtime::new(RuntimeConfig::default().with_profile(ProfileConfig::default()));
+    let x = int_vector(128, 1);
+    let y = int_vector(128, 2);
+    let (s0, s1) = (rt.stream(), rt.stream());
+    for _ in 0..3 {
+        s0.launch(LaunchSpec::saxpy(3, &x, &y));
+        s1.launch(LaunchSpec::sat_add(&x, &y));
+    }
+    let mut g = GraphBuilder::new();
+    let l = g.launch(LaunchSpec::sum(&x), &[]);
+    g.copy_out(0, 4, &[l]);
+    let exec = rt.instantiate(g.finish().unwrap()).unwrap();
+    rt.synchronize().unwrap();
+    rt.replay(&exec).unwrap();
+
+    let report = rt.postmortem("views").expect("metrics are on");
+    let launches: Vec<(u64, u64, u64)> = report
+        .flight
+        .events
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Kernel {
+                device, start, end, ..
+            }
+            | TraceEvent::GraphNodePlace {
+                kind: CommandKind::Launch,
+                device,
+                start,
+                end,
+                ..
+            } => Some((device as u64, start, end)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        launches.len(),
+        7,
+        "six stream launches and one graph launch"
+    );
+
+    let ring = rt.tracer().unwrap();
+    let trace: Value =
+        serde_json::from_str(&chrome::chrome_trace(&ring.events(), ring.dropped())).unwrap();
+    let Value::Seq(objs) = trace else {
+        panic!("trace is a JSON array")
+    };
+    let num = |o: &Value, k: &str| match o.get_field(k).unwrap() {
+        Value::U64(n) => *n,
+        other => panic!("{k}: expected integer, got {}", other.kind()),
+    };
+    let compute: Vec<(u64, u64, u64)> = objs
+        .iter()
+        .filter(|o| o.get_field("ph").unwrap() == &Value::Str("X".into()))
+        .filter(|o| (chrome::DEVICE_PID0..chrome::STREAMS_PID).contains(&num(o, "pid")))
+        .filter(|o| num(o, "tid") == chrome::TID_COMPUTE)
+        .map(|o| {
+            let ts = num(o, "ts");
+            (num(o, "pid") - chrome::DEVICE_PID0, ts, ts + num(o, "dur"))
+        })
+        .collect();
+    for l in &launches {
+        assert!(compute.contains(l), "launch {l:?} has no compute span");
+    }
+}
+
+/// `launches` kernels on a one-device pool whose ring holds 8 events.
+fn small_ring_run(profile: bool, launches: u64) -> Runtime {
+    let mut cfg = RuntimeConfig::with_devices(1).with_flight_capacity(8);
+    if profile {
+        cfg = cfg.with_profile(ProfileConfig::default());
+    }
+    let rt = Runtime::new(cfg);
+    let s = rt.stream();
+    for i in 0..launches {
+        s.launch(LaunchSpec::sum(&int_vector(64, i)));
+    }
+    rt.synchronize().unwrap();
+    rt
+}
+
+#[test]
+fn drop_counter_counts_overwrites_only_in_the_detail_tier() {
+    // Profiled: every overwritten event is a loss the trace must admit,
+    // and the metric, the health finding and both views agree on it.
+    let rt = small_ring_run(true, 24);
+    let ring = rt.tracer().unwrap();
+    let dropped = ring.recorded() - 8;
+    assert!(dropped > 0);
+    let snap = rt.metrics_snapshot().unwrap();
+    assert_eq!(
+        snap.counter(names::TRACER_DROPPED, "").map(|c| c.value),
+        Some(dropped)
+    );
+    let health = rt.health().unwrap();
+    assert!(
+        health
+            .findings
+            .contains(&HealthFinding::TracerDrops { dropped }),
+        "{:?}",
+        health.findings
+    );
+    assert_eq!(summarize(&ring.events(), ring.dropped()).dropped, dropped);
+    assert!(chrome::chrome_trace(&ring.events(), ring.dropped())
+        .contains(&format!("\"dropped_events\":{dropped}")));
+
+    // Unprofiled: overwriting is how the always-on ring works, not a
+    // loss — the counter stays 0 and the pool reads healthy.
+    let rt = small_ring_run(false, 24);
+    assert!(rt.tracer().unwrap().recorded() > 8);
+    let snap = rt.metrics_snapshot().unwrap();
+    assert_eq!(
+        snap.counter(names::TRACER_DROPPED, "").map(|c| c.value),
+        Some(0)
+    );
+    let health = rt.health().unwrap();
+    assert!(health.healthy, "{:?}", health.findings);
 }
 
 #[test]
