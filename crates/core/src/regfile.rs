@@ -31,6 +31,13 @@ impl RegisterFile {
         }
     }
 
+    /// Zero every register and predicate in place (power-on state,
+    /// without reallocating).
+    pub(crate) fn clear(&mut self) {
+        self.data.fill(0);
+        self.preds.fill(0);
+    }
+
     /// Number of threads.
     pub fn threads(&self) -> usize {
         self.threads

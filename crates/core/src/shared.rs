@@ -62,6 +62,13 @@ impl SharedMemory {
         }
     }
 
+    /// Zero the contents and the statistics in place (power-on state,
+    /// without reallocating).
+    pub(crate) fn clear(&mut self) {
+        self.data.fill(0);
+        self.stats = SharedMemStats::default();
+    }
+
     /// Size in words.
     pub fn words(&self) -> usize {
         self.data.len()

@@ -201,10 +201,11 @@ impl Processor {
     }
 
     /// Reset architectural state (registers, predicates, shared memory),
-    /// keeping the loaded program and its decode.
+    /// keeping the loaded program and its decode. Zeroes the existing
+    /// buffers in place: a pooled processor's reset allocates nothing.
     pub fn reset(&mut self) {
-        self.regfile = RegisterFile::new(&self.config);
-        self.shared = SharedMemory::new(self.config.shared_words);
+        self.regfile.clear();
+        self.shared.clear();
     }
 
     /// Snapshot the full architectural state (registers, predicates,

@@ -56,6 +56,30 @@ fn ab_experiment_from_common_checkpoint() {
 }
 
 #[test]
+fn reset_returns_a_run_processor_to_power_on_state() {
+    // Registers, predicates, shared memory and its port statistics all
+    // written, then reset in place: the state must equal a fresh
+    // processor's with the same program loaded, bit for bit.
+    let p = assemble("  stid r1\n  muli r2, r1, 7\n  setp.ne p1, r2, r0\n  sts [r1+0], r2\n  exit")
+        .unwrap();
+    let mut cpu = Processor::new(ProcessorConfig::small()).unwrap();
+    cpu.load_program(&p).unwrap();
+    cpu.run(RunOptions::default()).unwrap();
+    assert_ne!(cpu.snapshot().preds.iter().max(), Some(&0));
+    assert!(cpu.shared().stats().writes > 0);
+    cpu.reset();
+
+    let mut fresh = Processor::new(ProcessorConfig::small()).unwrap();
+    fresh.load_program(&p).unwrap();
+    assert_eq!(cpu.snapshot(), fresh.snapshot());
+    assert_eq!(cpu.shared().stats(), fresh.shared().stats());
+    assert_eq!(
+        cpu.run(RunOptions::default()).unwrap(),
+        fresh.run(RunOptions::default()).unwrap()
+    );
+}
+
+#[test]
 fn snapshot_serializes() {
     let mut cpu = Processor::new(ProcessorConfig::small()).unwrap();
     let p = assemble("  stid r1\n  sts [r1+0], r1\n  exit").unwrap();

@@ -127,8 +127,9 @@ pub struct PostmortemReport {
 
 /// Current postmortem schema version.
 /// Version 2: the flight window holds the ring's unified
-/// `simt_profile::TraceEvent`s.
-pub const POSTMORTEM_SCHEMA_VERSION: u32 = 2;
+/// `simt_profile::TraceEvent`s. Version 3: `Batch` and `Publish`
+/// records no longer carry the claiming worker's `device`.
+pub const POSTMORTEM_SCHEMA_VERSION: u32 = 3;
 
 impl PostmortemReport {
     /// Human-readable rendering: what an operator reads before opening
@@ -222,12 +223,10 @@ mod tests {
         });
         r.record(TraceEvent::Batch {
             stream: 0,
-            device: 0,
             commands: 1,
         });
         r.record(TraceEvent::Publish {
             stream: 0,
-            device: 0,
             commands: 1,
             depth: 0,
             outstanding: 1,

@@ -378,13 +378,39 @@ pub mod sim {
 }
 
 /// A pool-wide metric registry: get-or-create metrics by
-/// `(name, label)`. Creation takes a mutex; recording through the
-/// returned [`Arc`] is lock-free, so hot paths cache the handle.
+/// `(name, label)`. Lookups take a mutex but allocate only when they
+/// create; recording through the returned [`Arc`] is lock-free, so hot
+/// paths cache the handle.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<(String, String), Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<(String, String), Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<(String, String), Arc<Histogram>>>,
+    counters: Mutex<Family<Counter>>,
+    gauges: Mutex<Family<Gauge>>,
+    histograms: Mutex<Family<Histogram>>,
+}
+
+/// One metric kind, keyed `name → label`: nested so a lookup borrows
+/// both keys and iteration stays sorted by `(name, label)`.
+type Family<T> = BTreeMap<String, BTreeMap<String, Arc<T>>>;
+
+/// Get or create `name{label}` in `family`; a hit allocates nothing.
+fn get_or_create<T: Default>(family: &Mutex<Family<T>>, name: &str, label: &str) -> Arc<T> {
+    let mut map = family.lock().unwrap();
+    if let Some(m) = map.get(name).and_then(|labels| labels.get(label)) {
+        return Arc::clone(m);
+    }
+    Arc::clone(
+        map.entry(name.to_string())
+            .or_default()
+            .entry(label.to_string())
+            .or_default(),
+    )
+}
+
+/// Every `(name, label, metric)` of `family`, sorted by `(name, label)`.
+fn entries<T>(family: &Family<T>) -> impl Iterator<Item = (&String, &String, &Arc<T>)> {
+    family
+        .iter()
+        .flat_map(|(name, labels)| labels.iter().map(move |(label, m)| (name, label, m)))
 }
 
 impl Registry {
@@ -395,29 +421,17 @@ impl Registry {
 
     /// Get or create the counter `name{label}`.
     pub fn counter(&self, name: &str, label: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap();
-        Arc::clone(
-            map.entry((name.to_string(), label.to_string()))
-                .or_default(),
-        )
+        get_or_create(&self.counters, name, label)
     }
 
     /// Get or create the gauge `name{label}`.
     pub fn gauge(&self, name: &str, label: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap();
-        Arc::clone(
-            map.entry((name.to_string(), label.to_string()))
-                .or_default(),
-        )
+        get_or_create(&self.gauges, name, label)
     }
 
     /// Get or create the histogram `name{label}`.
     pub fn histogram(&self, name: &str, label: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        Arc::clone(
-            map.entry((name.to_string(), label.to_string()))
-                .or_default(),
-        )
+        get_or_create(&self.histograms, name, label)
     }
 
     /// Snapshot every metric, sorted by `(name, label)` — two
@@ -425,14 +439,14 @@ impl Registry {
     /// the record order.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for ((name, label), c) in self.counters.lock().unwrap().iter() {
+        for (name, label, c) in entries(&self.counters.lock().unwrap()) {
             snap.counters.push(CounterSnapshot {
                 name: name.clone(),
                 label: label.clone(),
                 value: c.get(),
             });
         }
-        for ((name, label), g) in self.gauges.lock().unwrap().iter() {
+        for (name, label, g) in entries(&self.gauges.lock().unwrap()) {
             snap.gauges.push(GaugeSnapshot {
                 name: name.clone(),
                 label: label.clone(),
@@ -440,7 +454,7 @@ impl Registry {
                 watermark: g.watermark() as f64,
             });
         }
-        for ((name, label), h) in self.histograms.lock().unwrap().iter() {
+        for (name, label, h) in entries(&self.histograms.lock().unwrap()) {
             snap.histograms.push(h.snapshot(name, label));
         }
         snap
@@ -548,6 +562,20 @@ mod tests {
             snap.histogram(names::LAUNCH_CYCLES, "saxpy").unwrap().count,
             1
         );
+        // Snapshots list metrics sorted by (name, label), names that
+        // prefix one another included.
+        for (name, label) in [("ab", ""), ("a", "z"), ("a", "b")] {
+            r.histogram(name, label).record(1);
+        }
+        let order: Vec<_> = r
+            .snapshot()
+            .histograms
+            .into_iter()
+            .map(|h| (h.name, h.label))
+            .collect();
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(order, sorted);
     }
 
     #[test]

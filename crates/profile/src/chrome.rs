@@ -429,7 +429,6 @@ mod tests {
             },
             TraceEvent::Batch {
                 stream: 0,
-                device: 0,
                 commands: 2,
             },
         ]
@@ -532,7 +531,6 @@ mod tests {
             },
             TraceEvent::Publish {
                 stream: 1,
-                device: 0,
                 commands: 1,
                 depth: 2,
                 outstanding: 4,

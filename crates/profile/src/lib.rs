@@ -125,11 +125,11 @@ pub enum TraceEvent {
         at: u64,
     },
     /// A worker claimed a batch of consecutive commands from a stream.
+    /// Which worker is not recorded: that is a host race, and the
+    /// placement records (`Kernel`, `Copy`) name the modeled device.
     Batch {
         /// Stream id the batch came from.
         stream: usize,
-        /// Device worker that claimed it.
-        device: usize,
         /// Commands in the batch.
         commands: u64,
     },
@@ -213,12 +213,10 @@ pub enum TraceEvent {
         span_cycles: u64,
     },
     /// A worker finished publishing a batch's results. Gauges are the
-    /// post-publish values.
+    /// post-publish values. Like `Batch`, it does not name the worker.
     Publish {
         /// Stream id.
         stream: usize,
-        /// Device worker that executed the batch.
-        device: usize,
         /// Commands whose handles resolved.
         commands: u64,
         /// Queue depth of the stream after the publish.

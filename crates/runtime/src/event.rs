@@ -6,15 +6,16 @@
 //! commands enqueued after the `wait` until the event has signaled —
 //! the CUDA event contract, on simulated devices.
 
+use crate::handoff::Slot;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 #[derive(Debug)]
 struct EventInner {
-    /// `Some(t)` once signaled, where `t` is the modeled device clock at
-    /// which the record completed (virtual time, in cycles).
-    signaled: Mutex<Option<u64>>,
-    cond: Condvar,
+    /// Resolves to the modeled device clock at which the record
+    /// completed (virtual time, in cycles).
+    signaled: Slot<u64>,
     /// Set the moment a `record_event` is *enqueued*. A stream waiting
     /// on an event that was never recorded proceeds immediately (the
     /// CUDA `cudaStreamWaitEvent`-on-unrecorded-event no-op), instead of
@@ -37,10 +38,15 @@ pub struct Event {
 impl Event {
     /// A fresh, unsignaled event.
     pub fn new() -> Self {
+        Event::spinning(Duration::ZERO)
+    }
+
+    /// A fresh event whose [`Event::wait`] spins up to `spin` before it
+    /// parks (see [`crate::handoff`]).
+    pub(crate) fn spinning(spin: Duration) -> Self {
         Event {
             inner: Arc::new(EventInner {
-                signaled: Mutex::new(None),
-                cond: Condvar::new(),
+                signaled: Slot::new(spin),
                 recorded: AtomicBool::new(false),
                 capture: Mutex::new(None),
             }),
@@ -50,11 +56,7 @@ impl Event {
     /// Mark the event complete at modeled clock `vtime` (idempotent; the
     /// first signal's timestamp wins).
     pub(crate) fn signal(&self, vtime: u64) {
-        let mut s = self.inner.signaled.lock().unwrap();
-        if s.is_none() {
-            *s = Some(vtime);
-        }
-        self.inner.cond.notify_all();
+        self.inner.signaled.set(vtime);
     }
 
     /// Mark that a record of this event has been enqueued somewhere.
@@ -81,20 +83,17 @@ impl Event {
 
     /// Has the event completed?
     pub fn is_signaled(&self) -> bool {
-        self.inner.signaled.lock().unwrap().is_some()
+        self.signal_time().is_some()
     }
 
     /// Modeled device clock at which the event completed, if signaled.
     pub fn signal_time(&self) -> Option<u64> {
-        *self.inner.signaled.lock().unwrap()
+        self.inner.signaled.try_get()
     }
 
     /// Block the *host* until the event completes.
     pub fn wait(&self) {
-        let mut s = self.inner.signaled.lock().unwrap();
-        while s.is_none() {
-            s = self.inner.cond.wait(s).unwrap();
-        }
+        self.inner.signaled.wait();
     }
 }
 

@@ -57,6 +57,7 @@
 
 pub mod event;
 pub mod graph;
+mod handoff;
 pub mod pool;
 pub mod scheduler;
 pub mod stats;
@@ -282,7 +283,9 @@ impl Runtime {
     pub fn new(cfg: RuntimeConfig) -> Self {
         assert!(cfg.devices >= 1, "a pool needs at least one device");
         assert!(cfg.max_batch >= 1, "batches need at least one command");
-        let shared = Arc::new(Shared::new(cfg.clone()));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spin = handoff::spin_budget(cfg.devices, cores);
+        let shared = Arc::new(Shared::new(cfg.clone(), spin));
         let mut compile_cache = match cfg.compile_cache_capacity {
             Some(cap) => CompileCache::with_capacity(cap),
             None => CompileCache::new(),

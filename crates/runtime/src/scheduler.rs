@@ -29,7 +29,35 @@
 //!
 //! Every scheduler decision is recorded once, into the pool's event
 //! ring ([`simt_profile::Tracer`], `Shared::record`).
+//!
+//! ## The handoff
+//!
+//! Commands and results cross threads through a spin-then-park wait
+//! (the private `handoff` module). Handle waits (`LaunchHandle::wait`,
+//! `CopyHandle::wait`) and the fence of `Stream::synchronize` poll a
+//! ready flag for up to a 20 µs budget — about one futex park-plus-wake
+//! round trip — before parking on their condvar (competitive spinning:
+//! Karlin, Li, Manasse & Owicki, SOSP 1991). An idle worker drops
+//! the state lock and watches a work epoch that every work
+//! notification bumps, then re-locks and re-claims before it parks, so
+//! an enqueue cannot slip between its last claim and its park.
+//! Notifiers (`set`, enqueue, publish, resume, shutdown) call
+//! `notify_all` only when the matching parked count, kept under the
+//! condvar's own mutex, is non-zero: a notify is a syscall even when
+//! nobody sleeps.
+//!
+//! The budget is granted only to a 1-device pool on a host with at
+//! least two cores (`available_parallelism()`, read once in
+//! `Runtime::new`): the worker and one submitting thread then each
+//! have a core, and that is the case measured to pay off. Every other
+//! pool parks at once. An oversubscribed pool must — a spinning thread
+//! there takes the core the client needs to submit, and a build that
+//! spun with 2 devices on 2 cores measured slower. A multi-device pool
+//! with spare cores parks too: its idle workers would all watch one
+//! work epoch, and that path is unmeasured. The park path is the plain
+//! park-and-notify one apart from the skipped notifies.
 
+use crate::handoff::{spin_until, Slot};
 use crate::pool::{self, Device, RuntimeConfig};
 use crate::stats::{CommandKind, CompletionRecord, DeviceStats, RuntimeStats, StreamStats};
 use crate::stream::Command;
@@ -41,7 +69,7 @@ use simt_graph::{ExecGraph, GraphNode, GraphOp, NodeId};
 use simt_metrics::{names as metric, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use simt_profile::{labels, TraceEvent, Tracer};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -103,8 +131,9 @@ pub(crate) struct StreamMetrics {
 }
 
 /// Pool-wide metric handles, cached at pool creation. The registry
-/// itself is reachable for label-keyed metrics (per-kernel histograms);
-/// everything on the per-command path goes through these `Arc`s.
+/// itself is reachable for label-keyed metrics (per-kernel histograms,
+/// whose lookup allocates only at a kernel's first launch); everything
+/// else on the per-command path goes through these `Arc`s.
 pub(crate) struct PoolMetrics {
     pub(crate) registry: Arc<Registry>,
     launches: Arc<Counter>,
@@ -228,6 +257,10 @@ pub(crate) struct SchedState {
     /// Workers hold off claiming while set (deterministic-schedule
     /// testing: build a full backlog, then release it at once).
     paused: bool,
+    /// Workers asleep on `Shared::work`.
+    parked_workers: usize,
+    /// `synchronize` callers asleep on `Shared::idle`.
+    parked_syncs: usize,
     /// Per-device health, driven by the fault tracker below against
     /// the recovery config's fault budget. Quarantined devices are
     /// excluded from stream placement and graph replay.
@@ -261,6 +294,12 @@ pub(crate) struct Shared {
     work: Condvar,
     /// `synchronize` waits here for quiescence.
     idle: Condvar,
+    /// Bumped by every work notification; an idle worker spinning
+    /// outside the lock watches it instead of parking on `work`.
+    work_epoch: AtomicU64,
+    /// Spin budget of every wait in the pool (zero: park at once; see
+    /// [`crate::handoff`]).
+    pub(crate) spin: Duration,
     pub(crate) shutdown: AtomicBool,
     /// The always-on event ring (`Some` unless
     /// [`RuntimeConfig::flight_capacity`] is zero — the off switch
@@ -278,10 +317,7 @@ pub(crate) struct Shared {
 }
 
 /// A `CopyOut` completion cell plus the words to deliver into it.
-type CopyDelivery = (
-    Arc<crate::stream::Slot<Result<Vec<u32>, RuntimeError>>>,
-    Vec<u32>,
-);
+type CopyDelivery = (Arc<Slot<Result<Vec<u32>, RuntimeError>>>, Vec<u32>);
 
 /// One executed command, ready to publish.
 enum Done {
@@ -309,7 +345,7 @@ enum Done {
         /// latency histograms (cloned only when one of them will read
         /// it).
         kernel: String,
-        sink: Arc<crate::stream::Slot<Result<ExecStats, RuntimeError>>>,
+        sink: Arc<Slot<Result<ExecStats, RuntimeError>>>,
         /// This success is a recovery from an earlier fault.
         faulted: bool,
         /// Device the faulted attempt was blamed on (failover target
@@ -345,7 +381,7 @@ enum Done {
 }
 
 impl Shared {
-    pub(crate) fn new(cfg: RuntimeConfig) -> Self {
+    pub(crate) fn new(cfg: RuntimeConfig, spin: Duration) -> Self {
         let d = cfg.devices;
         let cfg_metrics = cfg.metrics;
         let tracer = (cfg.flight_capacity > 0)
@@ -367,6 +403,8 @@ impl Shared {
                 capture: None,
                 capture_generation: 0,
                 paused: false,
+                parked_workers: 0,
+                parked_syncs: 0,
                 device_health: vec![DeviceHealth::Healthy; d],
                 device_faults: vec![0; d],
                 sticky_disabled: false,
@@ -374,6 +412,8 @@ impl Shared {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
+            work_epoch: AtomicU64::new(0),
+            spin,
             shutdown: AtomicBool::new(false),
             tracer,
             metrics: if cfg_metrics {
@@ -401,11 +441,30 @@ impl Shared {
         self.tracer.as_ref().is_some_and(|t| t.detail())
     }
 
+    /// Tell the workers there may be work: bump the epoch spinning
+    /// workers watch, and wake parked ones — only if there are any,
+    /// since every notify is a syscall. Called under the state lock,
+    /// so the parked count is exact.
+    fn notify_work(&self, state: &SchedState) {
+        self.work_epoch.fetch_add(1, Ordering::Release);
+        if state.parked_workers > 0 {
+            self.work.notify_all();
+        }
+    }
+
+    /// Wake parked `synchronize` callers, if any (under the state
+    /// lock).
+    fn notify_idle(&self, state: &SchedState) {
+        if state.parked_syncs > 0 {
+            self.idle.notify_all();
+        }
+    }
+
     /// Wake every sleeping worker and waiter (shutdown path).
     pub(crate) fn wake_all(&self) {
-        let _guard = self.state.lock().unwrap();
-        self.work.notify_all();
-        self.idle.notify_all();
+        let state = self.state.lock().unwrap();
+        self.notify_work(&state);
+        self.notify_idle(&state);
     }
 
     /// Register a stream (not device-affine: every command is placed at
@@ -450,8 +509,7 @@ impl Shared {
         let mut state = self.state.lock().unwrap();
         state.paused = false;
         self.record(TraceEvent::Resume);
-        drop(state);
-        self.work.notify_all();
+        self.notify_work(&state);
     }
 
     /// Begin capturing `stream`: its commands record into the active
@@ -612,7 +670,7 @@ impl Shared {
                 start: vdone,
                 end: vdone,
             });
-            self.idle.notify_all();
+            self.notify_idle(&state);
             return;
         }
         let kind = cmd.kind();
@@ -635,7 +693,7 @@ impl Shared {
             outstanding: state.outstanding as u64,
             at: st.vdone,
         });
-        self.work.notify_all();
+        self.notify_work(&state);
     }
 
     /// Block until no command is queued or in flight; surfaces the first
@@ -643,7 +701,9 @@ impl Shared {
     pub(crate) fn synchronize(&self) -> Result<(), RuntimeError> {
         let mut state = self.state.lock().unwrap();
         while state.outstanding > 0 {
+            state.parked_syncs += 1;
             state = self.idle.wait(state).unwrap();
+            state.parked_syncs -= 1;
         }
         match &state.first_error {
             Some(e) => Err(e.clone()),
@@ -756,7 +816,7 @@ impl Shared {
                 state.outstanding -= 1;
             }
         }
-        self.idle.notify_all();
+        self.notify_idle(&state);
     }
 
     /// Clear a stream's sticky error so it accepts new work again
@@ -985,12 +1045,11 @@ impl Shared {
                     state.scan_from[d] = sid + 1;
                     self.record(TraceEvent::Batch {
                         stream: sid,
-                        device: d,
                         commands: batch.len() as u64,
                     });
                     if progress {
-                        self.work.notify_all();
-                        self.idle.notify_all();
+                        self.notify_work(state);
+                        self.notify_idle(state);
                     }
                     return Some((sid, batch));
                 }
@@ -1000,8 +1059,8 @@ impl Shared {
             }
             // Inline event resolution may have unblocked streams on other
             // devices; let their workers rescan, then rescan ours.
-            self.work.notify_all();
-            self.idle.notify_all();
+            self.notify_work(state);
+            self.notify_idle(state);
         }
     }
 
@@ -1365,7 +1424,6 @@ impl Shared {
         let st = &state.streams[sid];
         self.record(TraceEvent::Publish {
             stream: sid,
-            device: d,
             commands: resolved as u64,
             depth: st.queue.len() as u64,
             outstanding: state.outstanding as u64,
@@ -1373,8 +1431,8 @@ impl Shared {
         });
         state.streams[sid].buffer = Some(buffer);
         state.streams[sid].busy = false;
-        self.work.notify_all();
-        self.idle.notify_all();
+        self.notify_work(state);
+        self.notify_idle(state);
     }
 }
 
@@ -1420,9 +1478,12 @@ pub(crate) fn worker_loop(
 ) {
     let d = device.id;
     loop {
-        // Claim a batch (or sleep until there is one).
+        // Claim a batch (or wait until there is one).
         let (sid, batch, mut buffer) = {
             let mut state = shared.state.lock().unwrap();
+            // One spin per idle spell: a worker woken from a park that
+            // then loses the claim parks again.
+            let mut may_spin = !shared.spin.is_zero();
             loop {
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return;
@@ -1436,7 +1497,25 @@ pub(crate) fn worker_loop(
                         break (sid, batch, buffer);
                     }
                 }
+                if may_spin {
+                    // Watch the work epoch outside the lock, then
+                    // re-lock and re-claim before parking. An enqueue
+                    // after the failed claim either bumps the epoch
+                    // read here or, once the lock is retaken, finds
+                    // this worker counted as parked: the re-claim and
+                    // the park share one lock hold.
+                    may_spin = false;
+                    let seen = shared.work_epoch.load(Ordering::Acquire);
+                    drop(state);
+                    spin_until(shared.spin, || {
+                        shared.work_epoch.load(Ordering::Acquire) != seen
+                    });
+                    state = shared.state.lock().unwrap();
+                    continue;
+                }
+                state.parked_workers += 1;
                 state = shared.work.wait(state).unwrap();
+                state.parked_workers -= 1;
             }
         };
 

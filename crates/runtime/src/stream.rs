@@ -9,49 +9,13 @@
 //! least-loaded device at dispatch.
 
 use crate::event::Event;
+use crate::handoff::Slot;
 use crate::scheduler::Shared;
 use crate::stats::CommandKind;
 use crate::RuntimeError;
 use simt_core::ExecStats;
 use simt_kernels::LaunchSpec;
-use std::sync::{Arc, Condvar, Mutex};
-
-/// A write-once completion cell shared between a handle and the worker
-/// that resolves it.
-#[derive(Debug)]
-pub(crate) struct Slot<T> {
-    value: Mutex<Option<T>>,
-    cond: Condvar,
-}
-
-impl<T: Clone> Slot<T> {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Slot {
-            value: Mutex::new(None),
-            cond: Condvar::new(),
-        })
-    }
-
-    pub(crate) fn set(&self, v: T) {
-        let mut g = self.value.lock().unwrap();
-        if g.is_none() {
-            *g = Some(v);
-        }
-        self.cond.notify_all();
-    }
-
-    fn wait(&self) -> T {
-        let mut g = self.value.lock().unwrap();
-        while g.is_none() {
-            g = self.cond.wait(g).unwrap();
-        }
-        g.as_ref().unwrap().clone()
-    }
-
-    fn try_get(&self) -> Option<T> {
-        self.value.lock().unwrap().clone()
-    }
-}
+use std::sync::Arc;
 
 /// Handle to an asynchronous kernel launch.
 #[derive(Debug, Clone)]
@@ -174,7 +138,7 @@ impl Stream {
 
     /// Enqueue an asynchronous kernel launch.
     pub fn launch(&self, spec: LaunchSpec) -> LaunchHandle {
-        let slot = Slot::new();
+        let slot = Arc::new(Slot::new(self.shared.spin));
         self.shared.enqueue(
             self.id,
             Command::Launch {
@@ -187,7 +151,7 @@ impl Stream {
 
     /// Enqueue a device→host copy of `len` words from offset `src`.
     pub fn copy_out(&self, src: usize, len: usize) -> CopyHandle {
-        let slot = Slot::new();
+        let slot = Arc::new(Slot::new(self.shared.spin));
         self.shared.enqueue(
             self.id,
             Command::CopyOut {
@@ -225,7 +189,7 @@ impl Stream {
         if self.shared.is_capturing(self.id) {
             return;
         }
-        let fence = Event::new();
+        let fence = Event::spinning(self.shared.spin);
         self.record_event(&fence);
         fence.wait();
     }
